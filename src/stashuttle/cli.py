@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -28,8 +27,8 @@ from .design import (DesignConstraints, DesignError, design_aux_multi,
 from .dynamics import (IntegrationError, excess_energy_exact,
                        trap_from_classical)
 from .model import (Perturbation, PhysicalParams, Polynomial5, validate)
-from .optimize import (GaConfig, SingularSystemError, corridor_cost,
-                       ga_minimize, oct_solve)
+from .optimize import (CORRIDOR_MIN_SAMPLES, OCT_MIN_STEPS, GaConfig,
+                       SingularSystemError, corridor_cost, ga_minimize, oct_solve)
 from .perturbation import (fourier_dynamical, second_order_energy_freq,
                            second_order_energy_pos)
 from .quadrature import QuadratureError
@@ -62,6 +61,19 @@ def _quantity(node, unit_table: dict[str, float], what: str) -> float:
     except (TypeError, ValueError):
         raise ConfigError(f"{what}: value must be a number") from None
     return value * unit_table[unit]
+
+
+def _integer(node: dict, key: str, what: str, default: int | None = None,
+             minimum: int | None = None) -> int:
+    """Integer field `key` of `node`, or `default` when the key is absent."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"the section holding {what} must be an object")
+    value = node.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{what} must be >= {minimum}")
+    return value
 
 
 _FREQ_UNITS = {"two_pi_mhz": 2.0 * math.pi * 1e6, "rad_per_s": 1.0}
@@ -129,9 +141,7 @@ def _scan_axis(config: dict) -> tuple[str, np.ndarray]:
     variable = node.get("variable")
     if variable not in ("omega", "duration"):
         raise ConfigError("scan.variable must be 'omega' or 'duration'")
-    points = node.get("points")
-    if not isinstance(points, int) or points < 1:
-        raise ConfigError("scan.points must be a positive integer")
+    points = _integer(node, "points", "scan.points", minimum=1)
     units = _FREQ_UNITS if variable == "omega" else _TIME_UNITS
     lo = _quantity(node.get("min"), units, "scan.min")
     hi = _quantity(node.get("max"), units, "scan.max") if points > 1 else lo
@@ -177,21 +187,14 @@ def echo_frequency(key: str, rad_per_s: float) -> None:
     echo(f"{key}_two_pi_mhz", float(rad_per_s / (2.0 * math.pi * 1e6)))
 
 
-def _pool_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- subcommands -------------------------------------------------------------
 
-def cmd_scan(config: dict, out: str, seed: int | None, threads: int) -> int:
+def cmd_scan(config: dict, out: str, seed: int | None) -> int:
     params = parse_params(config)
     pert = parse_perturbation(config, params)
     if pert.kind.value != "frequency_sine":
         raise ConfigError("scan currently supports the frequency_sine perturbation")
-    level = int(config.get("level", 0))
+    level = _integer(config, "level", "level", 0, minimum=0)
     variable, values = _scan_axis(config)
     omega_pert = pert.components[0][0]
     proto0 = Polynomial5(params)
@@ -217,7 +220,7 @@ def cmd_scan(config: dict, out: str, seed: int | None, threads: int) -> int:
         return (float(value), report.static_quanta, report.dynamical_quanta,
                 report.total_quanta, env_s, env_d)
 
-    rows = _pool_map(point, values, threads)
+    rows = [point(v) for v in values]
     write_csv(out, config, ["scan_value", "static_quanta", "dynamical_quanta",
                             "total_quanta", "envelope_static_quanta",
                             "envelope_dynamical_quanta"], rows)
@@ -225,17 +228,18 @@ def cmd_scan(config: dict, out: str, seed: int | None, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: dict, out: str, seed: int | None, threads: int) -> int:
+def cmd_verify(config: dict, out: str, seed: int | None) -> int:
     params = parse_params(config)
     pert = parse_perturbation(config, params)
     if not pert.is_frequency or pert.kind.value != "frequency_sine":
         raise ConfigError("verify supports the frequency_sine perturbation")
     if pert.amplitude > 0.05:
         raise ConfigError("verify needs amplitude <= 0.05 for a meaningful comparison")
-    level = int(config.get("level", 0))
+    level = _integer(config, "level", "level", 0, minimum=0)
     variable, values = _scan_axis(config)
     omega_pert = pert.components[0][0]
-    steps_per_cycle = int(config.get("steps_per_cycle", 400))
+    steps_per_cycle = _integer(config, "steps_per_cycle", "steps_per_cycle", 400,
+                               minimum=1)
     echo_frequency("omega0", params.omega0)
 
     def point(value: float):
@@ -252,7 +256,7 @@ def cmd_verify(config: dict, out: str, seed: int | None, threads: int) -> int:
         exact = excess_energy_exact(p, proto, local, level, n_steps).value
         return float(value), exact, pert_quanta
 
-    triples = _pool_map(point, values, threads)
+    triples = [point(v) for v in values]
     peak = max((abs(t[2]) for t in triples), default=0.0)
     floor = VERIFY_FLOOR * peak
     rows = []
@@ -279,9 +283,12 @@ def _design_protocol(config: dict, params: PhysicalParams):
             raise ConfigError("design.targets must list at least one frequency")
         constraints = DesignConstraints(
             targets=tuple(parse_frequency(t, "design.targets[]") for t in targets),
-            omega_derivatives=int(node.get("omega_derivatives", 0)),
-            omega0_derivatives=int(node.get("omega0_derivatives", 0)),
-            n_terms=node.get("n_terms"))
+            omega_derivatives=_integer(node, "omega_derivatives",
+                                       "design.omega_derivatives", 0, minimum=0),
+            omega0_derivatives=_integer(node, "omega0_derivatives",
+                                        "design.omega0_derivatives", 0, minimum=0),
+            n_terms=(None if node.get("n_terms") is None
+                     else _integer(node, "n_terms", "design.n_terms", minimum=1)))
         try:
             proto, system = design_fourier(params, constraints)
         except ValueError as exc:
@@ -310,11 +317,12 @@ def _write_protocol_csv(out: str, config: dict, params: PhysicalParams, proto,
     write_csv(out, config, ["t", "qc0", "qc0_dot", "qc0_ddot", "Q0"], rows)
 
 
-def cmd_design(config: dict, out: str, seed: int | None, threads: int) -> int:
+def cmd_design(config: dict, out: str, seed: int | None) -> int:
     params = parse_params(config)
     proto, system, targets = _design_protocol(config, params)
     _write_protocol_csv(out, config, params, proto,
-                        int(config.get("design", {}).get("points", 1001)))
+                        _integer(config["design"], "points", "design.points", 1001,
+                                 minimum=2))
     for k, omega in enumerate(targets):
         echo(f"abs_I_target_{k}", abs(target_integral(params, proto, omega)))
     echo("abs_I_bound", 1e-9 * params.distance / params.duration)
@@ -328,21 +336,26 @@ def cmd_design(config: dict, out: str, seed: int | None, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_ga(config: dict, out: str, seed: int | None, threads: int) -> int:
+def cmd_ga(config: dict, out: str, seed: int | None) -> int:
     params = parse_params(config)
     node = config.get("design")
     if node is None or node.get("method", "fourier") != "fourier":
         raise ConfigError("ga requires a 'design' section with method 'fourier'")
     _, system, targets = _design_protocol(config, params)
     ga_node = config.get("ga", {})
-    cfg = GaConfig(
-        seed=int(seed if seed is not None else ga_node.get("seed", 0)),
-        population=int(ga_node.get("population", 64)),
-        generations=int(ga_node.get("generations", 500)),
-        stagnation_limit=int(ga_node.get("stagnation_limit", 60)))
+    fields = dict(
+        seed=seed if seed is not None else _integer(ga_node, "seed", "ga.seed", 0),
+        population=_integer(ga_node, "population", "ga.population", 64),
+        generations=_integer(ga_node, "generations", "ga.generations", 500),
+        stagnation_limit=_integer(ga_node, "stagnation_limit", "ga.stagnation_limit", 60))
+    try:
+        cfg = GaConfig(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"ga: {exc}") from None
+    samples = _integer(ga_node, "corridor_samples", "ga.corridor_samples", 2001,
+                       minimum=CORRIDOR_MIN_SAMPLES)
     if system.nullspace_dim < 1:
         raise ConfigError("nothing to optimize: add sine terms beyond the constraint count")
-    samples = int(ga_node.get("corridor_samples", 2001))
     result = ga_minimize(params, system,
                          lambda trap: corridor_cost(trap, params, samples), cfg)
     _write_protocol_csv(out, config, params, result.protocol)
@@ -353,13 +366,13 @@ def cmd_ga(config: dict, out: str, seed: int | None, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_oct(config: dict, out: str, seed: int | None, threads: int) -> int:
+def cmd_oct(config: dict, out: str, seed: int | None) -> int:
     params = parse_params(config)
     node = config.get("oct")
     if node is None:
         raise ConfigError("missing 'oct' section")
     omega = parse_frequency(node.get("omega"), "oct.omega")
-    n_steps = int(node.get("n_steps", 8000))
+    n_steps = _integer(node, "n_steps", "oct.n_steps", 8000, minimum=OCT_MIN_STEPS)
     sweep = node.get("sweep")
     if sweep is None:
         sol = oct_solve(params, omega, n_steps)
@@ -379,7 +392,8 @@ def cmd_oct(config: dict, out: str, seed: int | None, threads: int) -> int:
              "omega": _FREQ_UNITS, "distance": _LENGTH_UNITS}.get(variable)
     if units is None:
         raise ConfigError("oct.sweep.variable must be duration, omega0, omega or distance")
-    points = int(sweep.get("points", 10))
+    # a slope fitted through fewer than 3 points has no residual to show it
+    points = _integer(sweep, "points", "oct.sweep.points", 10, minimum=3)
     lo = _quantity(sweep.get("min"), units, "oct.sweep.min")
     hi = _quantity(sweep.get("max"), units, "oct.sweep.max")
     values = np.geomspace(lo, hi, points) if sweep.get("spacing", "log") == "log" \
@@ -399,7 +413,7 @@ def cmd_oct(config: dict, out: str, seed: int | None, threads: int) -> int:
         steps = max(n_steps, int(300 * cycles))
         return float(value), oct_solve(p, om, steps).e_bar
 
-    rows = _pool_map(point, values, threads)
+    rows = [point(v) for v in values]
     write_csv(out, config, ["value", "e_bar_joules"], rows)
     logs = np.log(np.asarray(rows, dtype=float))
     slope = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
@@ -431,7 +445,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", required=True, help="output CSV path")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for scans")
     args = parser.parse_args(argv)
 
     try:
@@ -442,7 +455,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        return _COMMANDS[args.command](config, args.out, args.seed, max(1, args.threads))
+        return _COMMANDS[args.command](config, args.out, args.seed)
     except ConfigError as exc:
         _error_line(EXIT_CONFIG, "config", str(exc))
         return EXIT_CONFIG

@@ -285,12 +285,27 @@ class Polynomial5(Protocol):
         return p.distance / p.duration**2 * (60 * s - 180 * s**2 + 120 * s**3)
 
 
+def _series(coef: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """sum_j coef[..., j] * basis[j] for a basis of shape (terms, *t.shape).
+
+    Each coefficient row is its own vector-matrix product, so a row of a
+    coefficient matrix goes through the same arithmetic as a one-row
+    evaluation and gives the same bits.
+    """
+    flat = basis.reshape(len(basis), -1)
+    rows = np.matmul(coef[..., None, :], flat)[..., 0, :]
+    return rows.reshape(coef.shape[:-1] + basis.shape[1:])
+
+
 class FourierSineProtocol(Protocol):
     """Trajectory whose acceleration is a finite sine series over the transport window.
 
     With acceleration sum_j a_j sin(j*pi*t/T), position and velocity follow by
     integration from rest at t=0; the endpoint conditions at t=T hold iff the
     coefficients satisfy the two linear endpoint constraints.
+
+    A (rows, terms) coefficient matrix describes `rows` trajectories at once;
+    the evaluators then return one row per trajectory, shape (rows, *t.shape).
     """
 
     kind = ProtocolKind.FOURIER_SINE
@@ -300,20 +315,20 @@ class FourierSineProtocol(Protocol):
         self.coefficients = np.asarray(coefficients, dtype=float)
         if self.coefficients.size == 0:
             raise ValueError("need at least one coefficient")
-        self._j = np.arange(1, self.coefficients.size + 1)
+        self._j = np.arange(1, self.coefficients.shape[-1] + 1)
 
     def acceleration(self, t):
         T = self.params.duration
         t = np.asarray(t, dtype=float)
         arg = np.multiply.outer(self._j * np.pi / T, t)
-        return np.tensordot(self.coefficients, np.sin(arg), axes=1)
+        return _series(self.coefficients, np.sin(arg))
 
     def velocity(self, t):
         T = self.params.duration
         t = np.asarray(t, dtype=float)
         arg = np.multiply.outer(self._j * np.pi / T, t)
         coef = self.coefficients * T / (self._j * np.pi)
-        return np.tensordot(coef, 1.0 - np.cos(arg), axes=1)
+        return _series(coef, 1.0 - np.cos(arg))
 
     def position(self, t):
         T = self.params.duration
@@ -322,7 +337,7 @@ class FourierSineProtocol(Protocol):
         arg = np.multiply.outer(jpi / T, t)
         coef = self.coefficients * T / jpi**2
         terms = np.multiply.outer(jpi, t) - T * np.sin(arg)
-        return np.tensordot(coef, terms, axes=1)
+        return _series(coef, terms)
 
 
 class PolynomialTrajectory(Protocol):

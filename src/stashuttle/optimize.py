@@ -16,7 +16,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .design import AnsatzSystem, DesignError
-from .dynamics import TrapTrajectory, perturbed_frequency
+from .dynamics import TrapTrajectory, perturbed_frequency, trap_from_classical
 from .model import (FourierSineProtocol, Perturbation, PhysicalParams,
                     Protocol, ProtocolKind)
 
@@ -27,23 +27,39 @@ __all__ = [
 ]
 
 
+CORRIDOR_MIN_SAMPLES = 1000   # fewest samples of the trap path in corridor_cost
+OCT_MIN_STEPS = 2000          # fewest RK4 steps of oct_solve
+
+
 class SingularSystemError(RuntimeError):
     """The endpoint probe matrix of the extremal solve is numerically singular."""
 
 
 def corridor_cost(trap: TrapTrajectory, params: PhysicalParams,
-                  n_samples: int = 2001) -> float:
+                  n_samples: int = 2001) -> float | np.ndarray:
     """Integrated excursion of the trap path outside [0, d], units m*s.
 
     Zero iff the sampled path stays inside the corridor; grows linearly with
-    the overshoot amplitude, which gives the search a usable gradient.
+    the overshoot amplitude, which gives the search a usable gradient.  When
+    `trap(t)` has shape (rows, samples), one cost per row is returned.
     """
-    if n_samples < 1000:
-        raise ValueError("n_samples >= 1000 required")
+    if n_samples < CORRIDOR_MIN_SAMPLES:
+        raise ValueError(f"n_samples >= {CORRIDOR_MIN_SAMPLES} required")
     t = np.linspace(0.0, params.duration, n_samples)
     Q = np.asarray(trap(t), dtype=float)
-    excess = np.clip(Q - params.distance, 0.0, None) + np.clip(-Q, 0.0, None)
-    return float(np.trapezoid(excess, t))
+    # |Q - clip(Q, 0, d)| is the excursion and the trapezoid rule follows
+    # np.trapezoid step by step, in place: a population batch holds at most
+    # two (rows, samples) arrays
+    excess = np.clip(Q, 0.0, params.distance)
+    np.subtract(Q, excess, out=excess)
+    np.abs(excess, out=excess)
+    del Q
+    panels = excess[..., 1:] + excess[..., :-1]
+    del excess
+    panels *= np.diff(t)
+    panels /= 2.0
+    cost = panels.sum(axis=-1)
+    return float(cost) if cost.ndim == 0 else cost
 
 
 def nullspace_parametrize(system: AnsatzSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -76,8 +92,14 @@ class GaConfig:
     init_spread: float | None = None  # defaults to |particular solution|
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed >= 0 required")
         if self.population < 10:
             raise ValueError("population >= 10 required")
+        if self.generations < 1:
+            raise ValueError("generations >= 1 required")
+        if self.stagnation_limit < 1:
+            raise ValueError("stagnation_limit >= 1 required")
 
 
 @dataclass
@@ -98,6 +120,10 @@ def ga_minimize(params: PhysicalParams, system: AnsatzSystem, cost,
     stops on an exact zero of the cost or after `stagnation_limit`
     generations without improvement.  Identical seeds give bit-identical
     results.
+
+    `cost` is called once per generation with the trap path of the whole
+    population: `trap(t)` has shape (population, samples), and `cost` returns
+    one cost per candidate or a scalar that applies to every candidate.
     """
     particular, basis = nullspace_parametrize(system)
     dim = basis.shape[1]
@@ -108,21 +134,17 @@ def ga_minimize(params: PhysicalParams, system: AnsatzSystem, cost,
         else float(np.linalg.norm(particular))
     sigma_mut = cfg.mutation_scale * spread
 
-    def evaluate(z):
-        coeffs = particular + basis @ z
-        proto = FourierSineProtocol(params, coeffs)
-        w2 = params.omega0**2
-        trap = TrapTrajectory(lambda t: proto.position(t) + proto.acceleration(t) / w2)
-        return float(cost(trap))
-
     pop = rng.normal(0.0, spread, (cfg.population, dim))
     best_z = pop[0].copy()
     best_cost = np.inf
     history: list[float] = []
     stall = 0
-    generation = 0
     for generation in range(cfg.generations):
-        costs = np.array([evaluate(z) for z in pop])
+        # one matrix-vector product per candidate, the same arithmetic as
+        # the coefficients of the result below
+        coeffs = particular + np.matmul(basis, pop[:, :, None])[:, :, 0]
+        trap = trap_from_classical(FourierSineProtocol(params, coeffs), params)
+        costs = np.broadcast_to(cost(trap), (cfg.population,))
         leader = int(np.argmin(costs))
         if costs[leader] < best_cost:
             best_cost = float(costs[leader])
@@ -277,8 +299,8 @@ def oct_solve(params: PhysicalParams, omega: float,
     """
     if omega <= 0:
         raise ValueError("omega > 0 required")
-    if n_steps < 2000:
-        raise ValueError("n_steps >= 2000 required")
+    if n_steps < OCT_MIN_STEPS:
+        raise ValueError(f"n_steps >= {OCT_MIN_STEPS} required")
     T, d = params.duration, params.distance
     tg = np.linspace(0.0, T, 2 * n_steps + 1)
     basis = _control_basis(omega, params.omega0, tg)

@@ -74,8 +74,7 @@ class TestScan:
                                    "min": {"value": 2.0, "unit": "two_pi_mhz"},
                                    "max": {"value": 10.0, "unit": "two_pi_mhz"}})
         _, out1, _ = run(tmp_path, capsys, "scan", config, name="a.csv")
-        _, out2, _ = run(tmp_path, capsys, "scan", config,
-                         extra_args=("--threads", "4"), name="b.csv")
+        _, out2, _ = run(tmp_path, capsys, "scan", config, name="b.csv")
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_float_format(self, tmp_path, capsys):
@@ -264,7 +263,58 @@ class TestOct:
         assert float(echoed["fitted_slope"]) == pytest.approx(-4.0, abs=0.1)
 
 
+SCAN_POINT = {"variable": "omega", "points": 1,
+              "min": {"value": 5.0, "unit": "two_pi_mhz"},
+              "max": {"value": 5.0, "unit": "two_pi_mhz"}}
+OCT_SWEEP = {"variable": "duration", "points": 6,
+             "min": {"value": 5.0, "unit": "us"},
+             "max": {"value": 20.0, "unit": "us"}}
+
+
+def malformed(command, section, key, value):
+    """A valid config for `command` with `key` of `section` (None: top level) set to `value`."""
+    if command == "ga":
+        config = TestGa().ga_config()
+    elif command == "oct":
+        config = base_config(oct={"omega": {"value": 5.0, "unit": "two_pi_mhz"},
+                                  "sweep": dict(OCT_SWEEP)})
+    else:
+        config = base_config(scan=dict(SCAN_POINT))
+    node = config
+    for part in section.split(".") if section else ():
+        node = node[part]
+    node[key] = value
+    return config
+
+
 class TestErrors:
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("scan", None, "level", "x"),
+        ("scan", None, "level", -1),
+        ("verify", None, "steps_per_cycle", "x"),
+        ("oct", "oct", "n_steps", 100),
+        ("oct", "oct.sweep", "points", 0),
+        ("oct", "oct.sweep", "points", 1),
+        ("oct", "oct.sweep", "points", 2.5),
+        ("ga", "ga", "population", 5),
+        ("ga", "ga", "population", "x"),
+        ("ga", "ga", "generations", 0),
+        ("ga", "ga", "stagnation_limit", 0),
+        ("ga", "ga", "corridor_samples", 10),
+        ("ga", "ga", "seed", -1),
+        ("ga", None, "ga", 5),
+        ("ga", "design", "n_terms", 0),
+    ])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, command,
+                                             section, key, value):
+        config = malformed(command, section, key, value)
+        code, out, captured = run(tmp_path, capsys, command, config)
+        assert code == 2
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["kind"] == "config"
+        assert not out.exists()
+
     def test_unreadable_config(self, tmp_path, capsys):
         out_path = tmp_path / "out.csv"
         code = main(["scan", "--config", str(tmp_path / "missing.json"),

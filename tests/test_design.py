@@ -171,6 +171,18 @@ class TestTrajectoryFromCoeffs:
         assert abs(proto.acceleration(0.0)) <= 1e-12 * scale
         assert abs(proto.acceleration(params.duration)) <= 1e-9 * scale
 
+    def test_coefficient_rows_match_single_rows(self, params):
+        rng = np.random.default_rng(17)
+        coeffs = rng.normal(0, 1e7, (5, 8))
+        batch = trajectory_from_coeffs(params, coeffs)
+        t = np.linspace(0.0, params.duration, 301)
+        for name in ("position", "velocity", "acceleration"):
+            rows = getattr(batch, name)(t)
+            assert rows.shape == (5, 301)
+            for row, a in zip(rows, coeffs):
+                single = getattr(trajectory_from_coeffs(params, a), name)(t)
+                np.testing.assert_array_equal(row, single)
+
 
 class TestDesignFourier:
     def test_minimal_design_cancels_target(self, params):

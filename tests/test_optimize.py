@@ -33,6 +33,22 @@ class TestCorridorCost:
         trap = trap_from_classical(Polynomial5(p), p)
         assert corridor_cost(trap, p) > 0
 
+    def test_population_matches_rows(self, params):
+        # row 0 stays inside the corridor; the others overshoot above or below
+        base = trap_from_classical(Polynomial5(params), params)
+        scales = np.array([1.0, 1.02, 1.0, 0.9])
+        offsets = np.array([0.0, 0.0, -2e-6, 8e-6])
+        population = TrapTrajectory(
+            lambda t: scales[:, None] * base(t) + offsets[:, None])
+        costs = corridor_cost(population, params)
+        assert costs.shape == (4,)
+        assert costs[0] == 0.0 and np.all(costs[1:] > 0)
+        for k in range(4):
+            row = TrapTrajectory(lambda t: scales[k] * base(t) + offsets[k])
+            single = corridor_cost(row, params)
+            assert isinstance(single, float)
+            assert costs[k] == pytest.approx(single, rel=1e-14, abs=0.0)
+
 
 class TestNullspace:
     def test_square_system_has_none(self, params):
@@ -90,6 +106,19 @@ class TestGa:
                              GaConfig(seed=0))
         assert result.converged and result.best_cost == 0.0
 
+    def test_cost_called_once_per_generation(self, params):
+        p, system = self.make_system(params)
+        shapes = []
+
+        def cost(trap):
+            Q = trap(np.linspace(0.0, p.duration, 1001))
+            shapes.append(Q.shape)
+            return np.arange(Q.shape[0], 0, -1.0)  # never zero: every generation runs
+
+        result = ga_minimize(p, system, cost, GaConfig(seed=4, generations=7))
+        assert result.generations_used == 7
+        assert shapes == [(64, 1001)] * 7
+
     def test_no_nullspace_is_an_error(self, params):
         system = assemble_system(params, DesignConstraints(targets=(TWO_PI * 5e6,)))
         with pytest.raises(DesignError, match="nothing to optimize"):
@@ -98,6 +127,12 @@ class TestGa:
     def test_population_floor(self):
         with pytest.raises(ValueError):
             GaConfig(seed=0, population=5)
+
+    @pytest.mark.parametrize("field", [dict(generations=0), dict(stagnation_limit=0),
+                                       dict(seed=-1)])
+    def test_search_length_and_seed_floors(self, field):
+        with pytest.raises(ValueError):
+            GaConfig(**{"seed": 0, **field})
 
 
 class TestOctSolve:
