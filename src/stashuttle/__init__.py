@@ -12,11 +12,10 @@ __version__ = "0.1.0"
 from .analysis import (CommensurateClass, ConditionKind, PoleError,
                        classify_commensurate, corridor_check, crossing_time,
                        envelope_dynamical, envelope_static, fourier_projection,
-                       polynomial_qc, static_closed_form)
+                       static_closed_form)
 from .design import (AnsatzSystem, AuxFunctionSpec, DesignConstraints,
                      DesignError, design_aux_multi, design_aux_single,
-                     design_fourier, mode_overlap_integral, target_integral,
-                     trajectory_from_coeffs)
+                     design_fourier, mode_overlap_integral, target_integral)
 from .dynamics import (AuxiliarySolution, IntegrationError, TrapTrajectory,
                        energy_profile, exact_energy, excess_energy_exact,
                        shifted_trap, solve_auxiliary, trap_from_classical)
@@ -30,7 +29,7 @@ from .optimize import (GaConfig, GaResult, OctExtremalProtocol, OctSolution,
                        corridor_cost, ga_minimize, nullspace_parametrize,
                        oct_solve)
 from .perturbation import (ExcitationReport, FirstOrderSolution, accel_ft,
-                           eta_ratio, first_order_freq, fourier_dynamical,
+                           eta_ratio, fourier_dynamical,
                            fourier_static_freq, fourier_static_pos,
                            second_order_energy_freq, second_order_energy_pos)
 from .quadrature import QuadratureError, adaptive_quad

@@ -25,14 +25,9 @@ class PoleError(ValueError):
     """Evaluation too close to a non-removable pole of a closed form."""
 
 
-def polynomial_qc(params: PhysicalParams, t):
-    """Position, velocity and acceleration of the reference polynomial protocol."""
-    proto = Polynomial5(params)
-    return proto.position(t), proto.velocity(t), proto.acceleration(t)
-
-
 def _check_pole(omega: float, pole: float, omega0: float, name: str):
-    if abs(omega - pole) < POLE_GUARD * omega0:
+    # the closed forms depend on omega**2 only, so -pole is a pole too
+    if abs(abs(omega) - pole) < POLE_GUARD * omega0:
         raise PoleError(
             f"omega within {POLE_GUARD:g}*omega0 of the {name} pole at {pole:.6e} rad/s; "
             "use the time-integral forms, which stay finite there")
@@ -42,14 +37,17 @@ def static_closed_form(params: PhysicalParams, omega: float, n: int = 0) -> floa
     """Static second-order excitation for f(t)=sin(omega*t), quanta per amplitude^2.
 
     Exact for any protocol (the static part is protocol independent).  The
-    prefactor has a removable singularity at omega = 2*omega0 that is not
-    resolved here; a pole error directs callers to the integral forms.
+    factor 1/(omega^2 - 4*omega0^2) is cancelled analytically through the sinc
+    sd = sin((omega - 2*omega0)*T/2)/(omega - 2*omega0), so the removable
+    point omega = 2*omega0 takes its finite limit.
     """
     w0, T = params.omega0, params.duration
-    _check_pole(omega, 2.0 * w0, w0, "parametric")
-    a = omega**2 * math.sin(omega * T) - 2.0 * omega * w0 * math.sin(2.0 * w0 * T)
-    b2 = 4.0 * omega**2 * w0**2 * (math.cos(omega * T) - math.cos(2.0 * w0 * T))**2
-    energy = params.hbar * w0 * (2 * n + 1) / (4.0 * (omega**2 - 4.0 * w0**2)**2) * (a**2 + b2)
+    omega = abs(omega)  # the excitation is even in omega
+    s = omega + 2.0 * w0
+    sd = 0.5 * T * float(np.sinc((omega - 2.0 * w0) * T / (2.0 * math.pi)))
+    a = omega * (math.sin(omega * T) + 4.0 * w0 * math.cos(0.5 * s * T) * sd) / s
+    b = -4.0 * omega * w0 * math.sin(0.5 * s * T) * sd / s
+    energy = params.hbar * w0 * (2 * n + 1) / 4.0 * (a**2 + b**2)
     return energy / params.energy_quantum
 
 

@@ -21,16 +21,16 @@ import numpy as np
 
 from . import __version__
 from .analysis import (PoleError, corridor_check, envelope_dynamical,
-                       envelope_static, static_closed_form)
+                       envelope_static)
 from .design import (DesignConstraints, DesignError, design_aux_multi,
                      design_aux_single, design_fourier, target_integral)
 from .dynamics import (IntegrationError, excess_energy_exact,
                        trap_from_classical)
-from .model import (Perturbation, PhysicalParams, Polynomial5, validate)
+from .model import (Perturbation, PerturbationKind, PhysicalParams, Polynomial5,
+                    validate)
 from .optimize import (CORRIDOR_MIN_SAMPLES, OCT_MIN_STEPS, GaConfig,
                        SingularSystemError, corridor_cost, ga_minimize, oct_solve)
-from .perturbation import (fourier_dynamical, second_order_energy_freq,
-                           second_order_energy_pos)
+from .perturbation import second_order_energy_freq
 from .quadrature import QuadratureError
 
 EXIT_OK = 0
@@ -49,30 +49,59 @@ class ConfigError(ValueError):
 
 # -- config parsing ----------------------------------------------------------
 
-def _quantity(node, unit_table: dict[str, float], what: str) -> float:
+_REQUIRED = object()
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               float: "a number"}
+
+
+def _field(node, key: str, what: str, kind: type, default=_REQUIRED):
+    """Field `key` of the object `node`, of JSON type `kind` (float: any number).
+
+    `what` is the field's dotted name for messages.  A missing key gives
+    `default`, or an error when there is none; bool is never a number and
+    numbers must be finite.
+    """
+    if not isinstance(node, dict):
+        raise ConfigError(f"the section holding {what} must be an object")
+    if key not in node:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing {what}")
+        return default
+    value = node[key]
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{what} must be {_JSON_TYPES[kind]}")
+    if kind is float and not abs(value) <= sys.float_info.max:  # NaN, inf, huge ints
+        raise ConfigError(f"{what} must be finite")
+    return value
+
+
+def _choice(node, key: str, what: str, choices, default=_REQUIRED) -> str:
+    value = _field(node, key, what, str, default)
+    if value not in choices:
+        raise ConfigError(f"{what} must be one of {', '.join(map(repr, choices))}")
+    return value
+
+
+def _integer(node, key: str, what: str, default=_REQUIRED,
+             minimum: int | None = None) -> int:
+    value = _field(node, key, what, int, default)
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{what} must be >= {minimum}")
+    return value
+
+
+def _quantity(node, unit_table: dict[str, float], what: str,
+              positive: bool = False) -> float:
     if not isinstance(node, dict) or "value" not in node or "unit" not in node:
         raise ConfigError(f"{what} must be an object {{'value': x, 'unit': one of "
                           f"{sorted(unit_table)}}}")
-    unit = node["unit"]
+    unit = _field(node, "unit", f"{what}.unit", str)
     if unit not in unit_table:
         raise ConfigError(f"{what}: unknown unit '{unit}' (allowed: {sorted(unit_table)})")
-    try:
-        value = float(node["value"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what}: value must be a number") from None
-    return value * unit_table[unit]
-
-
-def _integer(node: dict, key: str, what: str, default: int | None = None,
-             minimum: int | None = None) -> int:
-    """Integer field `key` of `node`, or `default` when the key is absent."""
-    if not isinstance(node, dict):
-        raise ConfigError(f"the section holding {what} must be an object")
-    value = node.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what} must be an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{what} must be >= {minimum}")
+    value = _field(node, "value", f"{what}.value", float) * unit_table[unit]
+    if not math.isfinite(value) or (positive and value <= 0):
+        raise ConfigError(f"{what} must be finite" + (" and positive" if positive else ""))
     return value
 
 
@@ -80,81 +109,75 @@ _FREQ_UNITS = {"two_pi_mhz": 2.0 * math.pi * 1e6, "rad_per_s": 1.0}
 _TIME_UNITS = {"s": 1.0, "us": 1e-6}
 _LENGTH_UNITS = {"m": 1.0, "um": 1e-6}
 _MASS_UNITS = {"kg": 1.0}
+_SCAN_VARIABLES = {"omega": _FREQ_UNITS, "duration": _TIME_UNITS}
+_SWEEP_VARIABLES = {"duration": _TIME_UNITS, "omega0": _FREQ_UNITS, "omega": _FREQ_UNITS,
+                    "distance": _LENGTH_UNITS}
 
 
-def parse_frequency(node, what: str) -> float:
-    return _quantity(node, _FREQ_UNITS, what)
-
-
-def parse_params(config: dict) -> PhysicalParams:
-    try:
-        phys = config["physical"]
-    except KeyError:
-        raise ConfigError("missing 'physical' section") from None
-    params = PhysicalParams(
-        mass=_quantity(phys.get("mass"), _MASS_UNITS, "physical.mass"),
-        omega0=parse_frequency(phys.get("trap_frequency"), "physical.trap_frequency"),
-        distance=_quantity(phys.get("distance"), _LENGTH_UNITS, "physical.distance"),
-        duration=_quantity(phys.get("duration"), _TIME_UNITS, "physical.duration"),
-    )
+def _checked(params: PhysicalParams) -> PhysicalParams:
     report = validate(params)
     if not report.ok:
         raise ConfigError("; ".join(i.message for i in report.errors))
     return params
 
 
+def parse_params(config: dict) -> PhysicalParams:
+    phys = _field(config, "physical", "physical", dict)
+    return _checked(PhysicalParams(
+        mass=_quantity(phys.get("mass"), _MASS_UNITS, "physical.mass"),
+        omega0=_quantity(phys.get("trap_frequency"), _FREQ_UNITS, "physical.trap_frequency"),
+        distance=_quantity(phys.get("distance"), _LENGTH_UNITS, "physical.distance"),
+        duration=_quantity(phys.get("duration"), _TIME_UNITS, "physical.duration"),
+    ))
+
+
 def parse_perturbation(config: dict, params: PhysicalParams) -> Perturbation:
-    node = config.get("perturbation")
-    if node is None:
-        raise ConfigError("missing 'perturbation' section")
-    kind = node.get("kind")
-    try:
-        amplitude = float(node.get("amplitude"))
-    except (TypeError, ValueError):
-        raise ConfigError("perturbation.amplitude must be a number") from None
-    try:
-        if kind == "frequency_sine":
-            return Perturbation.frequency_sine(
-                parse_frequency(node.get("frequency"), "perturbation.frequency"), amplitude)
-        if kind == "position_sine":
-            return Perturbation.position_sine(
-                parse_frequency(node.get("frequency"), "perturbation.frequency"), amplitude)
-        if kind == "frequency_sum":
-            comps = [(parse_frequency(c.get("frequency"), "component.frequency"),
-                      float(c.get("phase", 0.0)), float(c.get("weight", 1.0)))
-                     for c in node.get("components", [])]
-            return Perturbation.frequency_sum(comps, amplitude)
-        if kind in ("frequency_tabulated", "position_tabulated"):
-            samples = node.get("samples")
-            ctor = (Perturbation.frequency_tabulated if kind == "frequency_tabulated"
-                    else Perturbation.position_tabulated)
-            return ctor(samples, amplitude, params.duration)
+    node = _field(config, "perturbation", "perturbation", dict)
+    kind = _choice(node, "kind", "perturbation.kind", [k.value for k in PerturbationKind])
+    amplitude = float(_field(node, "amplitude", "perturbation.amplitude", float))
+    if kind.endswith("_sine"):
+        shape = _quantity(node.get("frequency"), _FREQ_UNITS, "perturbation.frequency")
+    elif kind == "frequency_sum":
+        what = "perturbation.components[]"
+        shape = [(_quantity(_field(c, "frequency", f"{what}.frequency", dict), _FREQ_UNITS,
+                            f"{what}.frequency"),
+                  _field(c, "phase", f"{what}.phase", float, 0.0),
+                  _field(c, "weight", f"{what}.weight", float, 1.0))
+                 for c in _field(node, "components", "perturbation.components", list, [])]
+    else:
+        shape = _field(node, "samples", "perturbation.samples", list)
+    extra = (params.duration,) if kind.endswith("_tabulated") else ()
+    try:  # each kind string names its Perturbation constructor
+        return getattr(Perturbation, kind)(shape, amplitude, *extra)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"perturbation: {exc}") from None
-    raise ConfigError(f"unknown perturbation kind '{kind}'")
 
 
-def _scan_axis(config: dict) -> tuple[str, np.ndarray]:
-    node = config.get("scan")
-    if node is None:
-        raise ConfigError("missing 'scan' section")
-    variable = node.get("variable")
-    if variable not in ("omega", "duration"):
-        raise ConfigError("scan.variable must be 'omega' or 'duration'")
-    points = _integer(node, "points", "scan.points", minimum=1)
-    units = _FREQ_UNITS if variable == "omega" else _TIME_UNITS
-    lo = _quantity(node.get("min"), units, "scan.min")
-    hi = _quantity(node.get("max"), units, "scan.max") if points > 1 else lo
-    spacing = node.get("spacing", "linear")
+def _scan_axis(node, what: str, variables: dict[str, dict[str, float]],
+               default_spacing: str, min_points: int,
+               default_points=_REQUIRED) -> tuple[str, np.ndarray]:
+    """Scanned variable name and its grid, read from the axis object `node`.
+
+    `variables` maps each variable the caller can scan to its unit table.
+    """
+    variable = _choice(node, "variable", f"{what}.variable", variables)
+    points = _integer(node, "points", f"{what}.points", default_points, minimum=min_points)
+    units = variables[variable]
+    lo = _quantity(node.get("min"), units, f"{what}.min")
+    hi = _quantity(node.get("max"), units, f"{what}.max") if points > 1 else lo
+    spacing = _choice(node, "spacing", f"{what}.spacing", ("linear", "log"), default_spacing)
     if spacing == "linear":
-        values = np.linspace(lo, hi, points)
-    elif spacing == "log":
-        if lo <= 0 or hi <= 0:
-            raise ConfigError("log spacing needs positive bounds")
-        values = np.geomspace(lo, hi, points)
-    else:
-        raise ConfigError("scan.spacing must be 'linear' or 'log'")
-    return variable, values
+        return variable, np.linspace(lo, hi, points)
+    if lo <= 0 or hi <= 0:
+        raise ConfigError(f"{what}: log spacing needs positive bounds")
+    return variable, np.geomspace(lo, hi, points)
+
+
+def _at(params: PhysicalParams, omega: float, variable: str, value: float):
+    """(params, perturbation frequency) with the scanned `variable` moved to `value`."""
+    if variable == "omega":
+        return params, float(value)
+    return _checked(replace(params, **{variable: float(value)})), omega
 
 
 # -- output helpers ----------------------------------------------------------
@@ -189,25 +212,28 @@ def echo_frequency(key: str, rad_per_s: float) -> None:
 
 # -- subcommands -------------------------------------------------------------
 
-def cmd_scan(config: dict, out: str, seed: int | None) -> int:
+def _scan_inputs(config: dict, command: str):
+    """Params, perturbation, level, variable and grid of a scan or verify run."""
     params = parse_params(config)
     pert = parse_perturbation(config, params)
     if pert.kind.value != "frequency_sine":
-        raise ConfigError("scan currently supports the frequency_sine perturbation")
+        raise ConfigError(f"{command} supports the frequency_sine perturbation")
     level = _integer(config, "level", "level", 0, minimum=0)
-    variable, values = _scan_axis(config)
+    return (params, pert, level) + _scan_axis(_field(config, "scan", "scan", dict), "scan",
+                                              _SCAN_VARIABLES, "linear", 1)
+
+
+def cmd_scan(config: dict, out: str, seed: int | None) -> int:
+    params, pert, level, variable, values = _scan_inputs(config, "scan")
     omega_pert = pert.components[0][0]
     proto0 = Polynomial5(params)
     echo_frequency("omega0", params.omega0)
     echo_frequency("omega", omega_pert)
 
     def point(value: float):
-        if variable == "omega":
-            p, omega = params, value
-        else:
-            p, omega = replace(params, duration=float(value)), omega_pert
+        p, omega = _at(params, omega_pert, variable, value)
         local = Perturbation.frequency_sine(omega, pert.amplitude)
-        proto = Polynomial5(p) if variable == "duration" else proto0
+        proto = proto0 if p is params else Polynomial5(p)
         report = second_order_energy_freq(p, proto, local, level)
         try:
             env_s = envelope_static(p, omega, p.duration, level)
@@ -229,24 +255,16 @@ def cmd_scan(config: dict, out: str, seed: int | None) -> int:
 
 
 def cmd_verify(config: dict, out: str, seed: int | None) -> int:
-    params = parse_params(config)
-    pert = parse_perturbation(config, params)
-    if not pert.is_frequency or pert.kind.value != "frequency_sine":
-        raise ConfigError("verify supports the frequency_sine perturbation")
+    params, pert, level, variable, values = _scan_inputs(config, "verify")
     if pert.amplitude > 0.05:
         raise ConfigError("verify needs amplitude <= 0.05 for a meaningful comparison")
-    level = _integer(config, "level", "level", 0, minimum=0)
-    variable, values = _scan_axis(config)
     omega_pert = pert.components[0][0]
     steps_per_cycle = _integer(config, "steps_per_cycle", "steps_per_cycle", 400,
                                minimum=1)
     echo_frequency("omega0", params.omega0)
 
     def point(value: float):
-        if variable == "omega":
-            p, omega = params, float(value)
-        else:
-            p, omega = replace(params, duration=float(value)), omega_pert
+        p, omega = _at(params, omega_pert, variable, value)
         local = Perturbation.frequency_sine(omega, pert.amplitude)
         proto = Polynomial5(p)
         report = second_order_energy_freq(p, proto, local, level)
@@ -273,36 +291,29 @@ def cmd_verify(config: dict, out: str, seed: int | None) -> int:
 
 
 def _design_protocol(config: dict, params: PhysicalParams):
-    node = config.get("design")
-    if node is None:
-        raise ConfigError("missing 'design' section")
-    method = node.get("method")
-    if method == "fourier":
-        targets = node.get("targets")
-        if not targets:
-            raise ConfigError("design.targets must list at least one frequency")
-        constraints = DesignConstraints(
-            targets=tuple(parse_frequency(t, "design.targets[]") for t in targets),
-            omega_derivatives=_integer(node, "omega_derivatives",
-                                       "design.omega_derivatives", 0, minimum=0),
-            omega0_derivatives=_integer(node, "omega0_derivatives",
-                                        "design.omega0_derivatives", 0, minimum=0),
-            n_terms=(None if node.get("n_terms") is None
-                     else _integer(node, "n_terms", "design.n_terms", minimum=1)))
-        try:
-            proto, system = design_fourier(params, constraints)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        return proto, system, constraints.targets
+    node = _field(config, "design", "design", dict)
+    method = _choice(node, "method", "design.method", ("fourier", "aux"))
+    targets = tuple(_quantity(t, _FREQ_UNITS, "design.targets[]")
+                    for t in _field(node, "targets", "design.targets", list))
+    if not targets:
+        raise ConfigError("design.targets must list at least one frequency")
     if method == "aux":
-        targets = tuple(parse_frequency(t, "design.targets[]")
-                        for t in node.get("targets", []))
-        if not targets:
-            raise ConfigError("design.targets must list at least one frequency")
         proto = (design_aux_single(params, targets[0]) if len(targets) == 1
                  else design_aux_multi(params, targets))
         return proto, None, targets
-    raise ConfigError("design.method must be 'fourier' or 'aux'")
+    constraints = DesignConstraints(
+        targets=targets,
+        omega_derivatives=_integer(node, "omega_derivatives", "design.omega_derivatives",
+                                   0, minimum=0),
+        omega0_derivatives=_integer(node, "omega0_derivatives", "design.omega0_derivatives",
+                                    0, minimum=0),
+        n_terms=(None if node.get("n_terms") is None
+                 else _integer(node, "n_terms", "design.n_terms", minimum=1)))
+    try:
+        proto, system = design_fourier(params, constraints)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return proto, system, targets
 
 
 def _write_protocol_csv(out: str, config: dict, params: PhysicalParams, proto,
@@ -338,11 +349,10 @@ def cmd_design(config: dict, out: str, seed: int | None) -> int:
 
 def cmd_ga(config: dict, out: str, seed: int | None) -> int:
     params = parse_params(config)
-    node = config.get("design")
-    if node is None or node.get("method", "fourier") != "fourier":
-        raise ConfigError("ga requires a 'design' section with method 'fourier'")
+    _choice(_field(config, "design", "design", dict), "method", "design.method",
+            ("fourier",))
     _, system, targets = _design_protocol(config, params)
-    ga_node = config.get("ga", {})
+    ga_node = _field(config, "ga", "ga", dict, {})
     fields = dict(
         seed=seed if seed is not None else _integer(ga_node, "seed", "ga.seed", 0),
         population=_integer(ga_node, "population", "ga.population", 64),
@@ -368,10 +378,8 @@ def cmd_ga(config: dict, out: str, seed: int | None) -> int:
 
 def cmd_oct(config: dict, out: str, seed: int | None) -> int:
     params = parse_params(config)
-    node = config.get("oct")
-    if node is None:
-        raise ConfigError("missing 'oct' section")
-    omega = parse_frequency(node.get("omega"), "oct.omega")
+    node = _field(config, "oct", "oct", dict)
+    omega = _quantity(node.get("omega"), _FREQ_UNITS, "oct.omega", positive=True)
     n_steps = _integer(node, "n_steps", "oct.n_steps", 8000, minimum=OCT_MIN_STEPS)
     sweep = node.get("sweep")
     if sweep is None:
@@ -387,28 +395,13 @@ def cmd_oct(config: dict, out: str, seed: int | None) -> int:
         echo("jump_end_m", sol.jump_end)
         return EXIT_OK
 
-    variable = sweep.get("variable")
-    units = {"duration": _TIME_UNITS, "omega0": _FREQ_UNITS,
-             "omega": _FREQ_UNITS, "distance": _LENGTH_UNITS}.get(variable)
-    if units is None:
-        raise ConfigError("oct.sweep.variable must be duration, omega0, omega or distance")
     # a slope fitted through fewer than 3 points has no residual to show it
-    points = _integer(sweep, "points", "oct.sweep.points", 10, minimum=3)
-    lo = _quantity(sweep.get("min"), units, "oct.sweep.min")
-    hi = _quantity(sweep.get("max"), units, "oct.sweep.max")
-    values = np.geomspace(lo, hi, points) if sweep.get("spacing", "log") == "log" \
-        else np.linspace(lo, hi, points)
+    variable, values = _scan_axis(sweep, "oct.sweep", _SWEEP_VARIABLES, "log", 3, 10)
+    if values.min() <= 0:
+        raise ConfigError("oct.sweep needs positive bounds: the slope is fitted log-log")
 
     def point(value: float):
-        p, om = params, omega
-        if variable == "duration":
-            p = replace(params, duration=float(value))
-        elif variable == "omega0":
-            p = replace(params, omega0=float(value))
-        elif variable == "distance":
-            p = replace(params, distance=float(value))
-        else:
-            om = float(value)
+        p, om = _at(params, omega, variable, value)
         cycles = p.duration * max(p.omega0, om) / (2.0 * math.pi)
         steps = max(n_steps, int(300 * cycles))
         return float(value), oct_solve(p, om, steps).e_bar

@@ -247,14 +247,5 @@ def design_fourier(params: PhysicalParams,
     """Solve the constraint system and return the resulting sine-series protocol."""
     system = assemble_system(params, constraints)
     coefficients = system.solve()
-    return trajectory_from_coeffs(params, coefficients), system
+    return FourierSineProtocol(params, coefficients), system
 
-
-def trajectory_from_coeffs(params: PhysicalParams, coefficients) -> FourierSineProtocol:
-    """Sine-series protocol from raw coefficients (m/s^2).
-
-    The initial conditions hold automatically; the endpoint conditions hold
-    iff the coefficients satisfy the two endpoint constraints, which
-    `Protocol.endpoint_compliant` reports.
-    """
-    return FourierSineProtocol(params, coefficients)

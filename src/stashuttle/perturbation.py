@@ -28,17 +28,10 @@ def _as_function(f):
 
 @dataclass(frozen=True)
 class ExcitationReport:
-    """Static/dynamical split of the second-order excitation, in quanta.
-
-    Values are normalized per squared perturbation amplitude unless
-    `per_amplitude_sq` is False.
-    """
+    """Static/dynamical split of the second-order excitation, quanta per amplitude^2."""
 
     static_quanta: float
     dynamical_quanta: float
-    method: str               # "time_integral" | "fourier" | "closed_form" | "exact_ode"
-    order: str = "second"
-    per_amplitude_sq: bool = True
     level: int = 0
 
     @property
@@ -93,11 +86,6 @@ class FirstOrderSolution:
         return 2.0 * self._conv(t, np.cos, self.params.omega0, self._weight_q)
 
 
-def first_order_freq(params: PhysicalParams, proto: Protocol, f) -> FirstOrderSolution:
-    """First-order solution for a trap-frequency perturbation f(t)."""
-    return FirstOrderSolution(params, proto, f)
-
-
 def second_order_energy_freq(params: PhysicalParams, proto: Protocol, f,
                              n: int = 0) -> ExcitationReport:
     """Second-order excitation for Omega(t) = omega0*(1 + amplitude*f(t)).
@@ -105,7 +93,7 @@ def second_order_energy_freq(params: PhysicalParams, proto: Protocol, f,
     Reported per squared amplitude, split into the trajectory-dependent
     (dynamical) and trajectory-independent (static) parts.
     """
-    sol = first_order_freq(params, proto, f)
+    sol = FirstOrderSolution(params, proto, f)
     T = params.duration
     w0, m = params.omega0, params.mass
     fT = float(np.asarray(sol._f(T), dtype=float))
@@ -114,7 +102,7 @@ def second_order_energy_freq(params: PhysicalParams, proto: Protocol, f,
     dyn = 0.5 * m * w0**2 * (q1**2 + (q1d / w0)**2)
     stat = 0.25 * params.hbar * w0 * (2 * n + 1) * ((2.0 * r1 + fT)**2 + (r1d / w0)**2)
     eq = params.energy_quantum
-    return ExcitationReport(stat / eq, dyn / eq, method="time_integral", level=n)
+    return ExcitationReport(stat / eq, dyn / eq, level=n)
 
 
 def second_order_energy_pos(params: PhysicalParams, proto: Protocol, h,
@@ -141,7 +129,7 @@ def second_order_energy_pos(params: PhysicalParams, proto: Protocol, h,
     hT = float(np.asarray(hf(T), dtype=float))
     stat = 0.5 * m * w0**2 * ((q1 - d * hT)**2 + (q1d / w0)**2)
     eq = params.energy_quantum
-    return ExcitationReport(stat / eq, 0.0, method="time_integral", level=n)
+    return ExcitationReport(stat / eq, 0.0, level=n)
 
 
 def accel_ft(proto: Protocol, nu: float, rtol: float = RTOL) -> complex:

@@ -18,8 +18,7 @@ from stashuttle import (DesignConstraints, GaConfig, Perturbation,
                         envelope_static, eta_ratio, excess_energy_exact,
                         fourier_projection, ga_minimize, oct_solve,
                         second_order_energy_freq, static_closed_form,
-                        target_integral, trap_from_classical,
-                        trajectory_from_coeffs)
+                        target_integral, trap_from_classical)
 from stashuttle.design import assemble_system
 from stashuttle.perturbation import fourier_dynamical, fourier_static_freq
 

@@ -7,8 +7,8 @@ import pytest
 from stashuttle import (ConditionKind, Perturbation, PhysicalParams, PoleError,
                         Polynomial5, classify_commensurate, corridor_check,
                         crossing_time, envelope_dynamical, envelope_static,
-                        fourier_projection, polynomial_qc, static_closed_form,
-                        trap_from_classical)
+                        fourier_projection, second_order_energy_freq,
+                        static_closed_form, trap_from_classical)
 from stashuttle.perturbation import fourier_dynamical, fourier_static_freq
 
 TWO_PI = 2 * np.pi
@@ -24,23 +24,27 @@ def with_omega0(params, w0):
 
 class TestPolynomial:
     def test_endpoints(self, params):
-        q0, v0, a0 = polynomial_qc(params, 0.0)
+        proto = Polynomial5(params)
+        q0, v0, a0 = proto.position(0.0), proto.velocity(0.0), proto.acceleration(0.0)
         assert q0 == v0 == a0 == 0.0
-        qT, vT, aT = polynomial_qc(params, params.duration)
+        T = params.duration
+        qT, vT, aT = proto.position(T), proto.velocity(T), proto.acceleration(T)
         assert qT == pytest.approx(params.distance, rel=1e-12)
         assert abs(vT) <= 1e-10 * params.distance / params.duration
         assert abs(aT) <= 1e-9 * params.distance / params.duration**2
 
     def test_midpoint(self, params):
-        q, _, a = polynomial_qc(params, params.duration / 2)
+        proto = Polynomial5(params)
+        q, a = proto.position(params.duration / 2), proto.acceleration(params.duration / 2)
         assert q == pytest.approx(params.distance / 2, rel=1e-12)
         assert a == pytest.approx(0.0, abs=1e-10 * params.distance / params.duration**2)
 
     def test_acceleration_antisymmetric(self, params):
         T = params.duration
+        proto = Polynomial5(params)
         for s in (0.1, 0.23, 0.4):
-            _, _, a1 = polynomial_qc(params, s * T)
-            _, _, a2 = polynomial_qc(params, (1 - s) * T)
+            a1 = proto.acceleration(s * T)
+            a2 = proto.acceleration((1 - s) * T)
             assert a1 == pytest.approx(-a2, rel=1e-10)
 
 
@@ -54,9 +58,14 @@ class TestStaticClosedForm:
         omega = 24 * np.pi / params.duration  # even/even with omega0*T = 16*pi
         assert static_closed_form(params, omega) < 1e-25
 
-    def test_pole_guard(self, params):
-        with pytest.raises(PoleError):
-            static_closed_form(params, 2 * params.omega0 * (1 + 1e-8))
+    def test_removable_point_matches_time_integral(self, params):
+        # omega = 2*omega0 is a removable point of the closed form
+        for eps in (0.0, 1e-10, 1e-8, 1e-6, 1e-5, 1e-3):
+            omega = 2 * params.omega0 * (1 + eps)
+            want = second_order_energy_freq(params, Polynomial5(params),
+                                            Perturbation.frequency_sine(omega, 0.01))
+            assert static_closed_form(params, omega) == pytest.approx(
+                want.static_quanta, rel=1e-12)
 
     def test_matches_fourier_form(self, params):
         rng = np.random.default_rng(17)
@@ -118,12 +127,14 @@ class TestEnvelopes:
         assert small < 1e-5 * envelope_static(params, params.omega0, params.duration)
 
     def test_static_pole(self, params):
-        with pytest.raises(PoleError):
-            envelope_static(params, 2 * params.omega0, params.duration)
+        for omega in (2 * params.omega0, -2 * params.omega0):
+            with pytest.raises(PoleError):
+                envelope_static(params, omega, params.duration)
 
     def test_dynamical_pole(self, params):
-        with pytest.raises(PoleError):
-            envelope_dynamical(params, params.omega0, params.duration)
+        for omega in (params.omega0, -params.omega0):
+            with pytest.raises(PoleError):
+                envelope_dynamical(params, omega, params.duration)
 
     def test_static_bounds_commensurate_points(self, params):
         # on the omega*T = k*pi grid the envelope is a rigorous upper bound

@@ -1,8 +1,13 @@
+import contextlib
+import copy
+import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stashuttle.cli import main
 
@@ -304,11 +309,37 @@ class TestErrors:
         ("ga", "ga", "seed", -1),
         ("ga", None, "ga", 5),
         ("ga", "design", "n_terms", 0),
+        ("scan", None, "physical", []),
+        ("scan", None, "perturbation", []),
+        ("scan", None, "scan", []),
+        ("ga", None, "design", []),
+        ("oct", None, "oct", []),
+        ("oct", "oct", "sweep", []),
+        ("scan", None, "perturbation", {"kind": "frequency_sum", "amplitude": 0.01,
+                                        "components": [1]}),
+        ("oct", "oct.omega", "value", 0),
+        ("oct", "oct.sweep.min", "value", 0),
+        ("scan", None, "scan", {"variable": "duration", "points": 3,
+                                "min": {"value": 0.0, "unit": "us"},
+                                "max": {"value": 2.0, "unit": "us"}}),
+        ("oct", "oct.sweep", "spacing", "lgo"),
+        ("scan", "perturbation", "amplitude", "0.01"),
+        ("scan", "physical.distance", "value", "50"),
+        pytest.param("scan", "physical.distance", "value", 10**400,
+                     id="scan-physical.distance-value-10**400"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, command,
                                              section, key, value):
         config = malformed(command, section, key, value)
         code, out, captured = run(tmp_path, capsys, command, config)
+        assert code == 2
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["kind"] == "config"
+        assert not out.exists()
+
+    def test_non_object_config(self, tmp_path, capsys):
+        code, out, captured = run(tmp_path, capsys, "scan", [])
         assert code == 2
         lines = captured.err.splitlines()
         assert len(lines) == 1
@@ -331,3 +362,72 @@ class TestErrors:
         code, _, captured = run(tmp_path, capsys, "scan", config)
         assert code == 2
         assert "duration" in captured.err
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples_config"
+
+
+def shrunk_configs():
+    """(subcommand, config) for each shipped config, cut down to sub-second runs."""
+    def load(name):
+        return json.loads((EXAMPLES / name).read_text())
+    scan = load("scan_omega.json")
+    scan["scan"]["points"] = 3
+    scan["steps_per_cycle"] = 100
+    design = load("design_fourier.json")
+    design["design"]["points"] = 2
+    ga = load("ga_corridor.json")
+    ga["ga"].update(population=10, generations=3, corridor_samples=1000)
+    oct_ = load("oct_sweep_duration.json")
+    oct_["oct"]["n_steps"] = 2000
+    oct_["oct"]["sweep"].update(points=3, min={"value": 0.5, "unit": "us"},
+                                max={"value": 1.0, "unit": "us"})
+    return [("scan", scan), ("verify", scan), ("design", design), ("ga", ga),
+            ("oct", oct_)]
+
+
+def paths(node, prefix=()):
+    """The path of `node` and of everything inside it, as key/index tuples."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from paths(child, prefix + (key,))
+
+
+DELETE = "<delete>"
+SITES = [(command, config, path) for command, config in shrunk_configs()
+         for path in paths(config)]
+MUTATIONS = [DELETE, None, [], {}, "x", True, -1, 0, 2.5,
+             {"value": 1.0, "unit": "furlong"}]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(site=st.sampled_from(SITES), value=st.sampled_from(MUTATIONS))
+def test_config_mutation_exits_cleanly(tmp_path_factory, site, value):
+    # one field deleted or replaced: a result or a config/numerical/design
+    # error, never a traceback
+    command, config, path = site
+    config = copy.deepcopy(config)
+    if not path:
+        config = value if value != DELETE else {}
+    else:
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        if value == DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = copy.deepcopy(value)
+    tmp = tmp_path_factory.getbasetemp()
+    (tmp / "mutated.json").write_text(json.dumps(config))
+    out = tmp / "mutated.csv"
+    out.unlink(missing_ok=True)
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main([command, "--config", str(tmp / "mutated.json"), "--out", str(out)])
+    assert code in (0, 2, 3, 4)
+    if code != 0:
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["code"] == code
+        assert not out.exists()

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from stashuttle import (DesignConstraints, DesignError, Perturbation,
-                        Polynomial5, design_aux_multi, design_aux_single,
-                        design_fourier, excess_energy_exact,
+from stashuttle import (DesignConstraints, DesignError, FourierSineProtocol,
+                        Perturbation, Polynomial5, design_aux_multi,
+                        design_aux_single, design_fourier, excess_energy_exact,
                         mode_overlap_integral, static_closed_form,
-                        target_integral, trajectory_from_coeffs)
+                        target_integral)
 from stashuttle.design import _mode_overlap_quad, assemble_system
 from stashuttle.perturbation import fourier_dynamical
 
@@ -19,7 +19,7 @@ def dynamical_quanta(params, proto, omega):
 
 class TestTargetIntegral:
     def test_zero_acceleration(self, params):
-        proto = trajectory_from_coeffs(params, [0.0, 0.0])
+        proto = FourierSineProtocol(params, [0.0, 0.0])
         assert target_integral(params, proto, TWO_PI * 5e6) == 0.0
         assert not proto.endpoint_compliant  # degenerate: never reaches d
 
@@ -153,20 +153,20 @@ class TestTrajectoryFromCoeffs:
         norms = np.linalg.norm(rows, axis=1)
         a, *_ = np.linalg.lstsq(rows / norms[:, None],
                                 np.array([d, 0.0]) / norms, rcond=None)
-        proto = trajectory_from_coeffs(params, a)
+        proto = FourierSineProtocol(params, a)
         assert proto.position(T) == pytest.approx(d, rel=1e-10)
         assert abs(proto.velocity(T)) <= 1e-10 * d / T
 
     def test_single_odd_mode_flagged(self, params):
         # one j=1 term scaled to reach d necessarily violates the endpoint velocity
         T, d = params.duration, params.distance
-        proto = trajectory_from_coeffs(params, [d * np.pi / T**2])
+        proto = FourierSineProtocol(params, [d * np.pi / T**2])
         assert proto.position(T) == pytest.approx(d, rel=1e-12)
         assert not proto.endpoint_compliant
 
     def test_acceleration_endpoints_always_zero(self, params):
         rng = np.random.default_rng(13)
-        proto = trajectory_from_coeffs(params, rng.normal(0, 1e7, 8))
+        proto = FourierSineProtocol(params, rng.normal(0, 1e7, 8))
         scale = params.distance / params.duration**2
         assert abs(proto.acceleration(0.0)) <= 1e-12 * scale
         assert abs(proto.acceleration(params.duration)) <= 1e-9 * scale
@@ -174,13 +174,13 @@ class TestTrajectoryFromCoeffs:
     def test_coefficient_rows_match_single_rows(self, params):
         rng = np.random.default_rng(17)
         coeffs = rng.normal(0, 1e7, (5, 8))
-        batch = trajectory_from_coeffs(params, coeffs)
+        batch = FourierSineProtocol(params, coeffs)
         t = np.linspace(0.0, params.duration, 301)
         for name in ("position", "velocity", "acceleration"):
             rows = getattr(batch, name)(t)
             assert rows.shape == (5, 301)
             for row, a in zip(rows, coeffs):
-                single = getattr(trajectory_from_coeffs(params, a), name)(t)
+                single = getattr(FourierSineProtocol(params, a), name)(t)
                 np.testing.assert_array_equal(row, single)
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from stashuttle import (Perturbation, PhysicalParams, Polynomial5,
-                        excess_energy_exact, first_order_freq,
-                        static_closed_form, trajectory_from_coeffs)
+from stashuttle import (FirstOrderSolution, FourierSineProtocol, Perturbation,
+                        PhysicalParams, Polynomial5, excess_energy_exact,
+                        static_closed_form)
 from stashuttle.perturbation import (eta_ratio, fourier_dynamical,
                                      fourier_static_freq, fourier_static_pos,
                                      second_order_energy_freq,
@@ -25,20 +25,20 @@ def endpoint_constrained_coeffs(params, seed, n=6):
 
 class TestFirstOrder:
     def test_zero_perturbation(self, params):
-        sol = first_order_freq(params, Polynomial5(params), lambda t: np.zeros_like(t))
+        sol = FirstOrderSolution(params, Polynomial5(params), lambda t: np.zeros_like(t))
         T = params.duration
         assert sol.rho1(T) == 0.0 == sol.qc1(T)
 
     def test_initial_conditions(self, params):
         pert = Perturbation.frequency_sine(TWO_PI * 6e6, 0.01)
-        sol = first_order_freq(params, Polynomial5(params), pert)
+        sol = FirstOrderSolution(params, Polynomial5(params), pert)
         assert sol.rho1(0.0) == sol.rho1_dot(0.0) == 0.0
         assert sol.qc1(0.0) == sol.qc1_dot(0.0) == 0.0
 
     def test_constant_perturbation_closed_form(self, params):
         # rho1(t) = -(1 - cos(2 w0 t))/2 for f = 1
-        sol = first_order_freq(params, Polynomial5(params),
-                               lambda t: np.ones_like(np.asarray(t, dtype=float)))
+        sol = FirstOrderSolution(params, Polynomial5(params),
+                                 lambda t: np.ones_like(np.asarray(t, dtype=float)))
         w0 = params.omega0
         for t in (0.3e-6, 0.77e-6, 1.9e-6):
             want = -0.5 * (1.0 - np.cos(2 * w0 * t))
@@ -101,8 +101,8 @@ class TestSecondOrderPosition:
         pert = Perturbation.position_sine(TWO_PI * 5e6, 0.01)
         base = second_order_energy_pos(params, Polynomial5(params), pert)
         for seed in (0, 1):
-            other = trajectory_from_coeffs(params,
-                                           endpoint_constrained_coeffs(params, seed))
+            other = FourierSineProtocol(params,
+                                        endpoint_constrained_coeffs(params, seed))
             r = second_order_energy_pos(params, other, pert)
             assert r.static_quanta == pytest.approx(base.static_quanta, rel=1e-12)
 
