@@ -26,8 +26,7 @@ from .design import (DesignConstraints, DesignError, design_aux_multi,
                      design_aux_single, design_fourier, target_integral)
 from .dynamics import (IntegrationError, excess_energy_exact,
                        trap_from_classical)
-from .model import (Perturbation, PerturbationKind, PhysicalParams, Polynomial5,
-                    validate)
+from .model import Perturbation, PhysicalParams, Polynomial5, validate
 from .optimize import (CORRIDOR_MIN_SAMPLES, OCT_MIN_STEPS, GaConfig,
                        SingularSystemError, corridor_cost, ga_minimize, oct_solve)
 from .perturbation import second_order_energy_freq
@@ -131,25 +130,15 @@ def parse_params(config: dict) -> PhysicalParams:
     ))
 
 
-def parse_perturbation(config: dict, params: PhysicalParams) -> Perturbation:
+def parse_perturbation(config: dict) -> Perturbation:
+    """The frequency_sine perturbation that scan and verify run."""
     node = _field(config, "perturbation", "perturbation", dict)
-    kind = _choice(node, "kind", "perturbation.kind", [k.value for k in PerturbationKind])
+    _choice(node, "kind", "perturbation.kind", ("frequency_sine",))
     amplitude = float(_field(node, "amplitude", "perturbation.amplitude", float))
-    if kind.endswith("_sine"):
-        shape = _quantity(node.get("frequency"), _FREQ_UNITS, "perturbation.frequency")
-    elif kind == "frequency_sum":
-        what = "perturbation.components[]"
-        shape = [(_quantity(_field(c, "frequency", f"{what}.frequency", dict), _FREQ_UNITS,
-                            f"{what}.frequency"),
-                  _field(c, "phase", f"{what}.phase", float, 0.0),
-                  _field(c, "weight", f"{what}.weight", float, 1.0))
-                 for c in _field(node, "components", "perturbation.components", list, [])]
-    else:
-        shape = _field(node, "samples", "perturbation.samples", list)
-    extra = (params.duration,) if kind.endswith("_tabulated") else ()
-    try:  # each kind string names its Perturbation constructor
-        return getattr(Perturbation, kind)(shape, amplitude, *extra)
-    except (ValueError, TypeError) as exc:
+    omega = _quantity(node.get("frequency"), _FREQ_UNITS, "perturbation.frequency")
+    try:
+        return Perturbation.frequency_sine(omega, amplitude)
+    except ValueError as exc:
         raise ConfigError(f"perturbation: {exc}") from None
 
 
@@ -212,19 +201,17 @@ def echo_frequency(key: str, rad_per_s: float) -> None:
 
 # -- subcommands -------------------------------------------------------------
 
-def _scan_inputs(config: dict, command: str):
+def _scan_inputs(config: dict):
     """Params, perturbation, level, variable and grid of a scan or verify run."""
     params = parse_params(config)
-    pert = parse_perturbation(config, params)
-    if pert.kind.value != "frequency_sine":
-        raise ConfigError(f"{command} supports the frequency_sine perturbation")
+    pert = parse_perturbation(config)
     level = _integer(config, "level", "level", 0, minimum=0)
     return (params, pert, level) + _scan_axis(_field(config, "scan", "scan", dict), "scan",
                                               _SCAN_VARIABLES, "linear", 1)
 
 
 def cmd_scan(config: dict, out: str, seed: int | None) -> int:
-    params, pert, level, variable, values = _scan_inputs(config, "scan")
+    params, pert, level, variable, values = _scan_inputs(config)
     omega_pert = pert.components[0][0]
     proto0 = Polynomial5(params)
     echo_frequency("omega0", params.omega0)
@@ -255,7 +242,7 @@ def cmd_scan(config: dict, out: str, seed: int | None) -> int:
 
 
 def cmd_verify(config: dict, out: str, seed: int | None) -> int:
-    params, pert, level, variable, values = _scan_inputs(config, "verify")
+    params, pert, level, variable, values = _scan_inputs(config)
     if pert.amplitude > 0.05:
         raise ConfigError("verify needs amplitude <= 0.05 for a meaningful comparison")
     omega_pert = pert.components[0][0]

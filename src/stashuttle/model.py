@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.interpolate import CubicSpline
 
 HBAR = 1.054571817e-34  # J*s
 
@@ -379,6 +378,9 @@ class TabulatedProtocol(Protocol):
     kind = ProtocolKind.TABULATED
 
     def __init__(self, params: PhysicalParams, positions):
+        # imported here so that scipy stays off the import path of the package
+        from scipy.interpolate import CubicSpline
+
         super().__init__(params)
         positions = np.asarray(positions, dtype=float)
         if positions.size < 4:

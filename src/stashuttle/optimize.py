@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .design import AnsatzSystem, DesignError
 from .dynamics import TrapTrajectory, perturbed_frequency, trap_from_classical
 from .model import (FourierSineProtocol, Perturbation, PhysicalParams,
-                    Protocol, ProtocolKind)
+                    Protocol, ProtocolKind, eval_perturbation)
 
 __all__ = [
     "GaConfig", "GaResult", "OctSolution", "SingularSystemError",
@@ -28,7 +27,7 @@ __all__ = [
 
 
 CORRIDOR_MIN_SAMPLES = 1000   # fewest samples of the trap path in corridor_cost
-OCT_MIN_STEPS = 2000          # fewest RK4 steps of oct_solve
+OCT_MIN_STEPS = 2000          # fewest output-grid intervals of oct_solve
 
 
 class SingularSystemError(RuntimeError):
@@ -184,12 +183,76 @@ def ga_minimize(params: PhysicalParams, system: AnsatzSystem, cost,
 
 # -- optimal-control extremal --------------------------------------------------
 
+# one Gauss-Legendre panel per grid interval: eight nodes integrate an
+# oscillation of up to 2 rad per interval to rounding (1.5e-13 at 4 rad); a
+# CLI sweep gives oct_solve at least 300 intervals per cycle
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _gauss_panels(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of one Gauss-Legendre panel on each interval [a, b]."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    half = (0.5 * (b - a))[..., None]
+    return (0.5 * (a + b))[..., None] + half * _GL_NODES, half * _GL_WEIGHTS
+
+
+def _driven_oscillator(w: float, g, times, at=None) -> tuple[np.ndarray, np.ndarray]:
+    """Position and velocity of x'' + w^2 x = g(t), at rest at times[0].
+
+    The response is a convolution of g: one Gauss-Legendre panel on each
+    interval of the sorted grid `times` gives cumulative sums of g weighted by
+    (1, s) when w = 0 and by (cos ws, sin ws) otherwise, and variation of
+    constants turns them into the states on the grid.  With `at`, the states
+    at those points of [times[0], times[-1]] add one partial panel to the sums
+    at the grid point below each.  `g` is vectorized; axes it prepends are
+    kept in front of the time axes.
+    """
+    times = np.asarray(times, dtype=float)
+
+    def sums(a, b):
+        s, weights = _gauss_panels(a, b)
+        gw = g(s) * weights
+        if w == 0.0:
+            return np.stack([gw.sum(axis=-1), (gw * s).sum(axis=-1)])
+        return np.stack([(gw * np.cos(w * s)).sum(axis=-1),
+                         (gw * np.sin(w * s)).sum(axis=-1)])
+
+    cum = np.cumsum(sums(times[:-1], times[1:]), axis=-1)
+    cum = np.concatenate([np.zeros(cum.shape[:-1] + (1,)), cum], axis=-1)
+    if at is None:
+        t = times
+    else:
+        t = np.asarray(at, dtype=float)
+        k = np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2)
+        cum = cum[..., k] + sums(times[k], t)
+    p, q = cum
+    if w == 0.0:
+        return t * p - q, p
+    cos, sin = np.cos(w * t), np.sin(w * t)
+    return (sin * p - cos * q) / w, cos * p + sin * q
+
+
+def _extremal_states(params: PhysicalParams, omega: float, control, times,
+                     at=None) -> np.ndarray:
+    """States (x1, x2, x3, x4) of the extremal's state system driven by `control`.
+
+    x1'' = -w0^2 u gives the trajectory and its velocity, and
+    x3'' + w0^2 x3 = -2 w0^2 sin(omega t) u the first-order pair, all from
+    rest at t = 0; `times` and `at` as in `_driven_oscillator`.
+    """
+    w0sq = params.omega0**2
+    x1, x2 = _driven_oscillator(0.0, lambda s: -w0sq * control(s), times, at)
+    x3, x4 = _driven_oscillator(
+        params.omega0, lambda s: -2.0 * w0sq * np.sin(omega * s) * control(s), times, at)
+    return np.stack([x1, x2, x3, x4])
+
+
 class OctExtremalProtocol(Protocol):
     """Trajectory of the minimum-transient-energy extremal.
 
-    Position and velocity interpolate the dense state grid; the acceleration
-    follows the analytic control, which jumps at the endpoints (exempted from
-    the boundary-condition contract).
+    Position and velocity are the exact states of the solution; the
+    acceleration follows the analytic control, which jumps at the endpoints
+    (exempted from the boundary-condition contract).
     """
 
     kind = ProtocolKind.OCT_EXTREMAL
@@ -197,14 +260,12 @@ class OctExtremalProtocol(Protocol):
     def __init__(self, params: PhysicalParams, solution: "OctSolution"):
         super().__init__(params)
         self.solution = solution
-        self._pos = CubicSpline(solution.times, solution.x[0])
-        self._vel = CubicSpline(solution.times, solution.x[1])
 
     def position(self, t):
-        return self._pos(np.asarray(t, dtype=float))
+        return self.solution.states(t)[0]
 
     def velocity(self, t):
-        return self._vel(np.asarray(t, dtype=float))
+        return self.solution.states(t)[1]
 
     def acceleration(self, t):
         return -self.params.omega0**2 * self.solution.control(t)
@@ -217,7 +278,7 @@ class OctSolution:
     params: PhysicalParams
     omega: float
     constants: np.ndarray     # costate constants c1..c4
-    times: np.ndarray
+    times: np.ndarray         # output grid, n_steps intervals over [0, T]
     x: np.ndarray             # (4, n+1): trajectory, velocity, first-order pair
     u: np.ndarray             # control samples on `times`, meters
     e_bar: float              # time-averaged dynamical potential energy, joules
@@ -234,15 +295,19 @@ class OctSolution:
         p4 = c3 * np.cos(w0 * t) + c4 * np.sin(w0 * t)
         return -(p2 + 2.0 * np.sin(self.omega * t) * p4)
 
+    def states(self, t):
+        """Exact states x1..x4 at any t in [0, T], shape (4, *t.shape)."""
+        return _extremal_states(self.params, self.omega, self.control, self.times, t)
+
     def trap_trajectory(self) -> TrapTrajectory:
         """Trap path x1 - u inside (0, T), clamped to the endpoints outside."""
-        pos = CubicSpline(self.times, self.x[0])
         d, T = self.params.distance, self.params.duration
 
         def fn(t):
             t = np.asarray(t, dtype=float)
-            inside = pos(np.clip(t, 0.0, T)) - self.control(np.clip(t, 0.0, T))
-            return np.where(t <= 0.0, 0.0, np.where(t >= T, d, inside))
+            inside = np.clip(t, 0.0, T)
+            path = self.states(inside)[0] - self.control(inside)
+            return np.where(t <= 0.0, 0.0, np.where(t >= T, d, path))
 
         return TrapTrajectory(fn, ideal=True)
 
@@ -257,54 +322,24 @@ def _control_basis(omega: float, w0: float, t: np.ndarray) -> np.ndarray:
                      -2.0 * sw * np.sin(w0 * t)])
 
 
-def _integrate_states(params: PhysicalParams, omega: float, u_half: np.ndarray,
-                      n_steps: int, keep: bool):
-    """RK4 of the four state equations driven by control samples on the half grid.
-
-    `u_half` has shape (n_controls, 2*n_steps+1); all controls integrate in
-    lockstep, which serves both the unit probes and the final solution pass.
-    """
-    T = params.duration
-    w0sq = params.omega0**2
-    h = T / n_steps
-    tg = np.linspace(0.0, T, 2 * n_steps + 1)
-    sin_half = np.sin(omega * tg)
-    n_controls = u_half.shape[0]
-    X = np.zeros((4, n_controls))
-    stored = np.zeros((4, n_controls, n_steps + 1)) if keep else None
-
-    def deriv(i, X):
-        u = u_half[:, i]
-        return np.stack([X[1], -w0sq * u, X[3],
-                         -w0sq * X[2] - 2.0 * w0sq * sin_half[i] * u])
-
-    for k in range(n_steps):
-        i0 = 2 * k
-        k1 = deriv(i0, X)
-        k2 = deriv(i0 + 1, X + 0.5 * h * k1)
-        k3 = deriv(i0 + 1, X + 0.5 * h * k2)
-        k4 = deriv(i0 + 2, X + h * k3)
-        X = X + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if keep:
-            stored[:, :, k + 1] = X
-    return X, stored, tg
-
-
 def oct_solve(params: PhysicalParams, omega: float,
               n_steps: int = 8000) -> OctSolution:
     """Extremal of the averaged dynamical potential energy for a sine error at omega.
 
-    Integrates the linear state system for four unit costate probes, solves
-    the 4x4 endpoint map for the constants, then rebuilds the full solution.
+    The state system is linear, so the states of the four unit costate probes,
+    summed by Gauss-Legendre quadrature over the `n_steps` intervals of the
+    output grid, give the 4x4 endpoint map; solving it for the constants makes
+    the solution's states the same combination of the probe states.
     """
     if omega <= 0:
         raise ValueError("omega > 0 required")
     if n_steps < OCT_MIN_STEPS:
         raise ValueError(f"n_steps >= {OCT_MIN_STEPS} required")
-    T, d = params.duration, params.distance
-    tg = np.linspace(0.0, T, 2 * n_steps + 1)
-    basis = _control_basis(omega, params.omega0, tg)
-    endpoint, _, _ = _integrate_states(params, omega, basis, n_steps, keep=False)
+    T, d, w0 = params.duration, params.distance, params.omega0
+    times = np.linspace(0.0, T, n_steps + 1)
+    probes = _extremal_states(params, omega, lambda s: _control_basis(omega, w0, s),
+                              times)
+    endpoint = probes[:, :, -1]
 
     target = np.array([d, 0.0, 0.0, 0.0])
     # equilibrate rows and columns so the conditioning check sees the geometry
@@ -321,16 +356,15 @@ def oct_solve(params: PhysicalParams, omega: float,
     constants = col_scale * np.linalg.solve(scaled, target * row_scale)
     residual = float(np.linalg.norm(endpoint @ constants - target))
 
-    u_half = (constants @ basis)[None, :]
-    _, stored, _ = _integrate_states(params, omega, u_half, n_steps, keep=True)
-    x = stored[:, 0, :]
-    u_full = u_half[0, ::2]
-    e_bar = (params.mass * params.omega0**2 / 2.0
-             * float(np.trapezoid(u_half[0] ** 2, tg)) / T)
+    def control(s):
+        return np.tensordot(constants, _control_basis(omega, w0, s), axes=1)
+
+    u = control(times)
+    nodes, weights = _gauss_panels(times[:-1], times[1:])
+    e_bar = params.mass * w0**2 / 2.0 * float(np.sum(weights * control(nodes)**2)) / T
     return OctSolution(params=params, omega=omega, constants=constants,
-                       times=tg[::2].copy(), x=x, u=u_full.copy(), e_bar=e_bar,
-                       jump_start=abs(float(u_half[0, 0])),
-                       jump_end=abs(float(u_half[0, -1])),
+                       times=times, x=constants @ probes, u=u, e_bar=e_bar,
+                       jump_start=abs(float(u[0])), jump_end=abs(float(u[-1])),
                        endpoint_residual=residual)
 
 
@@ -341,38 +375,25 @@ def avg_dynamical_potential(params: PhysicalParams, proto: Protocol,
     """Time average of (m*Omega^2/2)(q - Q0)^2 over the transport, joules.
 
     With `include_first_order` the classical trajectory gains its first-order
-    response to the frequency perturbation, integrated alongside on the same
-    grid; for small amplitudes the correction is indistinguishable.
+    response q1'' + w0^2 q1 = 2 f(t) q''(t) to the frequency perturbation,
+    summed by quadrature on the same grid; for small amplitudes the
+    correction is indistinguishable.
     """
     T = params.duration
-    h = T / n_steps
-    t_half = np.linspace(0.0, T, 2 * n_steps + 1)
-    t_full = t_half[::2]
+    t = np.linspace(0.0, T, n_steps + 1)
     omega = perturbed_frequency(params, pert)
-    om2 = np.asarray(omega(t_full), dtype=float) ** 2
-    q0 = np.asarray(proto.position(t_full), dtype=float)
-    Q = np.asarray(trap(t_full), dtype=float)
+    om2 = np.asarray(omega(t), dtype=float) ** 2
+    q0 = np.asarray(proto.position(t), dtype=float)
+    Q = np.asarray(trap(t), dtype=float)
     deviation = q0 - Q
 
     if include_first_order and pert is not None and pert.is_frequency \
             and pert.amplitude > 0.0:
-        from .model import eval_perturbation
-        w0sq = params.omega0**2
-        forcing = 2.0 * np.asarray(eval_perturbation(pert, t_half), dtype=float) \
-            * np.asarray(proto.acceleration(t_half), dtype=float)
-        q1 = np.zeros(n_steps + 1)
-        y, yd = 0.0, 0.0
-        f_l = forcing.tolist()
-        for k in range(n_steps):
-            i0 = 2 * k
-            k1y, k1v = yd, f_l[i0] - w0sq * y
-            k2y, k2v = yd + 0.5 * h * k1v, f_l[i0 + 1] - w0sq * (y + 0.5 * h * k1y)
-            k3y, k3v = yd + 0.5 * h * k2v, f_l[i0 + 1] - w0sq * (y + 0.5 * h * k2y)
-            k4y, k4v = yd + h * k3v, f_l[i0 + 2] - w0sq * (y + h * k3y)
-            y += (h / 6.0) * (k1y + 2.0 * (k2y + k3y) + k4y)
-            yd += (h / 6.0) * (k1v + 2.0 * (k2v + k3v) + k4v)
-            q1[k + 1] = y
+        def forcing(s):
+            return 2.0 * eval_perturbation(pert, s) * proto.acceleration(s)
+
+        q1, _ = _driven_oscillator(params.omega0, forcing, t)
         deviation = deviation + pert.amplitude * q1
 
     integrand = 0.5 * params.mass * om2 * deviation**2
-    return float(np.trapezoid(integrand, t_full)) / T
+    return float(np.trapezoid(integrand, t)) / T

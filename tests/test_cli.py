@@ -3,12 +3,16 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stashuttle
 from stashuttle.cli import main
 
 TWO_PI_MHZ = 2 * math.pi * 1e6
@@ -49,6 +53,18 @@ def parse_echo(stdout):
             key, _, val = line.partition("=")
             values[key] = val
     return values
+
+
+def test_import_leaves_scipy_out():
+    # scipy costs about half a second and 45 MB of every CLI run; only
+    # TabulatedProtocol needs it, and imports it when built
+    src = str(Path(stashuttle.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, stashuttle.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestScan:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from stashuttle import (DesignConstraints, DesignError, FourierSineProtocol,
-                        Perturbation, Polynomial5, design_aux_multi,
+                        Perturbation, PhysicalParams, Polynomial5, design_aux_multi,
                         design_aux_single, design_fourier, excess_energy_exact,
                         mode_overlap_integral, static_closed_form,
                         target_integral)
@@ -139,6 +140,23 @@ class TestModeOverlap:
         at_sing = mode_overlap_integral(p, 1, omega_sing)
         near = mode_overlap_integral(p, 1, omega_sing * (1 + 1e-6))
         assert at_sing == pytest.approx(near, rel=1e-4)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(j=st.integers(1, 10), duration_us=st.floats(0.5, 4.0),
+           log_gap=st.floats(-8.0, -2.0), side=st.sampled_from([-1.0, 1.0]),
+           kernel=st.sampled_from(["A", "B"]))
+    def test_closed_form_across_band_edge(self, j, duration_us, log_gap, side, kernel):
+        # A = j*pi - omega*T = -R or B = j*pi + omega*T = R with
+        # R^2 = (1 +/- gap)*W^2: gaps from 1e-8 to 1e-2 straddle the fallback
+        # band edge at 1e-4*W^2
+        p = PhysicalParams(mass=1.455e-25, omega0=TWO_PI * 4e6, distance=50e-6,
+                           duration=duration_us * 1e-6)
+        T = p.duration
+        root = p.omega0 * T * np.sqrt(1.0 + side * 10.0**log_gap)
+        omega = (j * np.pi + root) / T if kernel == "A" else (root - j * np.pi) / T
+        assume(omega > 0)
+        want = _mode_overlap_quad(p, j, omega)
+        assert abs(mode_overlap_integral(p, j, omega) - want) <= 1e-11 * abs(want)
 
     def test_mode_index_validated(self, params):
         with pytest.raises(ValueError):

@@ -8,7 +8,8 @@ from stashuttle import (DesignConstraints, DesignError, GaConfig, Perturbation,
                         corridor_cost, design_fourier, ga_minimize,
                         nullspace_parametrize, oct_solve, trap_from_classical)
 from stashuttle.design import assemble_system
-from stashuttle.optimize import _control_basis, _integrate_states
+from stashuttle.dynamics import solve_auxiliary
+from stashuttle.optimize import _control_basis, _driven_oscillator, _extremal_states
 
 TWO_PI = 2 * np.pi
 
@@ -135,6 +136,29 @@ class TestGa:
             GaConfig(**{"seed": 0, **field})
 
 
+class TestDrivenOscillator:
+    @pytest.mark.parametrize("w", [0.0, TWO_PI * 4e6])
+    def test_closed_form_on_and_off_grid(self, params, w):
+        # g = cos(a t) from rest: x = (cos(a t) - cos(w t))/(w^2 - a^2)
+        a = TWO_PI * 5e6
+        T = params.duration
+        times = np.linspace(0.0, T, 2001)
+        at = np.concatenate([[0.0, T], np.random.default_rng(3).uniform(0.0, T, 50)])
+        scale = 1.0 / (w**2 - a**2)
+        for t, (x, v) in [(times, _driven_oscillator(w, lambda s: np.cos(a * s), times)),
+                          (at, _driven_oscillator(w, lambda s: np.cos(a * s), times, at))]:
+            assert np.allclose(x, (np.cos(a * t) - np.cos(w * t)) * scale,
+                               rtol=0, atol=1e-12 * abs(scale))
+            assert np.allclose(v, (w * np.sin(w * t) - a * np.sin(a * t)) * scale,
+                               rtol=0, atol=1e-12 * a * abs(scale))
+
+    def test_prepended_axes_are_kept(self, params):
+        times = np.linspace(0.0, params.duration, 2001)
+        rows = lambda s: np.stack([np.ones_like(s), s])
+        x, v = _driven_oscillator(0.0, rows, times, times[[3, 7]])
+        assert x.shape == v.shape == (2, 2)
+
+
 class TestOctSolve:
     def test_endpoint_boundary_conditions(self, params):
         sol = oct_solve(params, TWO_PI * 5e6, n_steps=8000)
@@ -154,17 +178,32 @@ class TestOctSolve:
     def test_superposition_linearity(self, params):
         omega = TWO_PI * 5e6
         n_steps = 3000
-        tg = np.linspace(0, params.duration, 2 * n_steps + 1)
-        basis = _control_basis(omega, params.omega0, tg)
-        endpoints, _, _ = _integrate_states(params, omega, basis, n_steps, keep=False)
+        times = np.linspace(0, params.duration, n_steps + 1)
+        basis = lambda s: _control_basis(omega, params.omega0, s)
+        endpoints = _extremal_states(params, omega, basis, times)[:, :, -1]
         rng = np.random.default_rng(11)
         for _ in range(5):
             c = rng.normal(size=4)
-            combined, _, _ = _integrate_states(params, omega, (c @ basis)[None, :],
-                                               n_steps, keep=False)
+            combined = _extremal_states(
+                params, omega, lambda s: np.tensordot(c, basis(s), axes=1), times)
             want = endpoints @ c
-            assert np.allclose(combined[:, 0], want,
+            assert np.allclose(combined[:, -1], want,
                                rtol=1e-10, atol=1e-12 * params.distance)
+
+    def test_oracle_follows_extremal_trap_path(self, params):
+        # the RK4 oracle driven by the extremal's trap path at constant omega0
+        # reproduces the quadrature states and comes to rest at d
+        sol = oct_solve(params, TWO_PI * 5e6, n_steps=4000)
+        trap = sol.trap_trajectory()
+        w0 = lambda t: params.omega0 * np.ones_like(t)
+        coarse = solve_auxiliary(params, w0, trap, 4000)
+        fine = solve_auxiliary(params, w0, trap, 8000)
+        dq = np.max(np.abs(coarse.qc - fine.qc[::2]))
+        dv = np.max(np.abs(coarse.qc_dot - fine.qc_dot[::2]))
+        assert np.max(np.abs(coarse.qc - sol.x[0])) <= 10 * dq
+        assert np.max(np.abs(coarse.qc_dot - sol.x[1])) <= 10 * dv
+        assert abs(coarse.qc[-1] - params.distance) <= 10 * dq
+        assert abs(coarse.qc_dot[-1]) <= 10 * dv
 
     def test_first_order_stationarity(self, params):
         # feasible variations (zero endpoint response) do not change the cost
@@ -175,8 +214,12 @@ class TestOctSolve:
         T = params.duration
         tg = np.linspace(0, T, 2 * n_steps + 1)
         u = sol.control(tg)
-        modes = np.stack([np.sin(m * np.pi * tg / T) for m in range(1, 9)])
-        responses, _, _ = _integrate_states(params, omega, modes, n_steps, keep=False)
+
+        def modes_at(s):
+            return np.sin(np.multiply.outer(np.arange(1, 9) * np.pi / T, s))
+
+        modes = modes_at(tg)
+        responses = _extremal_states(params, omega, modes_at, sol.times)[:, :, -1]
         # nullspace of the endpoint-response map: variations with delta_x(T)=0
         scale = np.diag([1 / params.distance, T / params.distance,
                          1 / params.distance, T / params.distance])
