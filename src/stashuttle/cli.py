@@ -29,7 +29,7 @@ from .dynamics import (IntegrationError, excess_energy_exact,
 from .model import Perturbation, PhysicalParams, Polynomial5, validate
 from .optimize import (CORRIDOR_MIN_SAMPLES, OCT_MIN_STEPS, GaConfig,
                        SingularSystemError, corridor_cost, ga_minimize, oct_solve)
-from .perturbation import second_order_energy_freq
+from .perturbation import lane_blocks, second_order_energy_freq, sine_lanes
 from .quadrature import QuadratureError
 
 EXIT_OK = 0
@@ -210,18 +210,37 @@ def _scan_inputs(config: dict):
                                               _SCAN_VARIABLES, "linear", 1)
 
 
+def _second_order(params: PhysicalParams, omega: float, variable: str, values,
+                  level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Static and dynamical quanta per amplitude^2 at every point of a scan axis.
+
+    Points that share their PhysicalParams form one group: an omega axis is
+    one group, evaluated in lane blocks, and a duration axis one group per
+    point, evaluated as one lane.
+    """
+    if variable == "omega":
+        groups = [(params, values)]
+    else:
+        groups = [(_at(params, omega, variable, v)[0], np.array([omega])) for v in values]
+    static, dynamical = [], []
+    for p, omegas in groups:
+        proto = Polynomial5(p)
+        for block in lane_blocks(p, omegas):
+            report = second_order_energy_freq(p, proto, sine_lanes(omegas[block]), level)
+            static.append(report.static_quanta)
+            dynamical.append(report.dynamical_quanta)
+    return np.concatenate(static), np.concatenate(dynamical)
+
+
 def cmd_scan(config: dict, out: str, seed: int | None) -> int:
     params, pert, level, variable, values = _scan_inputs(config)
     omega_pert = pert.components[0][0]
-    proto0 = Polynomial5(params)
     echo_frequency("omega0", params.omega0)
     echo_frequency("omega", omega_pert)
+    static, dynamical = _second_order(params, omega_pert, variable, values, level)
 
-    def point(value: float):
+    def row(value: float, stat: float, dyn: float):
         p, omega = _at(params, omega_pert, variable, value)
-        local = Perturbation.frequency_sine(omega, pert.amplitude)
-        proto = proto0 if p is params else Polynomial5(p)
-        report = second_order_energy_freq(p, proto, local, level)
         try:
             env_s = envelope_static(p, omega, p.duration, level)
         except PoleError:
@@ -230,10 +249,10 @@ def cmd_scan(config: dict, out: str, seed: int | None) -> int:
             env_d = envelope_dynamical(p, omega, p.duration)
         except PoleError:
             env_d = math.nan
-        return (float(value), report.static_quanta, report.dynamical_quanta,
-                report.total_quanta, env_s, env_d)
+        return (value, stat, dyn, stat + dyn, env_s, env_d)
 
-    rows = [point(v) for v in values]
+    rows = [row(*point) for point in zip(values.tolist(), static.tolist(),
+                                          dynamical.tolist())]
     write_csv(out, config, ["scan_value", "static_quanta", "dynamical_quanta",
                             "total_quanta", "envelope_static_quanta",
                             "envelope_dynamical_quanta"], rows)
@@ -249,19 +268,18 @@ def cmd_verify(config: dict, out: str, seed: int | None) -> int:
     steps_per_cycle = _integer(config, "steps_per_cycle", "steps_per_cycle", 400,
                                minimum=1)
     echo_frequency("omega0", params.omega0)
+    static, dynamical = _second_order(params, omega_pert, variable, values, level)
+    perturbative = pert.amplitude**2 * (static + dynamical)
 
-    def point(value: float):
+    def point(value: float, pert_quanta: float):
         p, omega = _at(params, omega_pert, variable, value)
         local = Perturbation.frequency_sine(omega, pert.amplitude)
-        proto = Polynomial5(p)
-        report = second_order_energy_freq(p, proto, local, level)
-        pert_quanta = pert.amplitude**2 * report.total_quanta
         cycles = p.duration * max(2.0 * p.omega0, omega) / (2.0 * math.pi)
         n_steps = max(4000, int(steps_per_cycle * cycles))
-        exact = excess_energy_exact(p, proto, local, level, n_steps).value
-        return float(value), exact, pert_quanta
+        exact = excess_energy_exact(p, Polynomial5(p), local, level, n_steps).value
+        return value, exact, pert_quanta
 
-    triples = [point(v) for v in values]
+    triples = [point(*pair) for pair in zip(values.tolist(), perturbative.tolist())]
     peak = max((abs(t[2]) for t in triples), default=0.0)
     floor = VERIFY_FLOOR * peak
     rows = []

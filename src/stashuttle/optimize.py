@@ -196,6 +196,39 @@ def _gauss_panels(a, b) -> tuple[np.ndarray, np.ndarray]:
     return (0.5 * (a + b))[..., None] + half * _GL_NODES, half * _GL_WEIGHTS
 
 
+def _oscillator_sums(w: float, gw: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Panel sums of the weighted drive `gw` at nodes `s`, over the last axis.
+
+    They are the sums against (1, s) when w = 0 and against (cos ws, sin ws)
+    otherwise, stacked on a new first axis.
+    """
+    if w == 0.0:
+        return np.stack([gw.sum(axis=-1), (gw * s).sum(axis=-1)])
+    return np.stack([(gw * np.cos(w * s)).sum(axis=-1),
+                     (gw * np.sin(w * s)).sum(axis=-1)])
+
+
+def _cumulative(sums: np.ndarray) -> np.ndarray:
+    """Running sums over the grid intervals, starting from 0 at the first point."""
+    cum = np.cumsum(sums, axis=-1)
+    return np.concatenate([np.zeros(cum.shape[:-1] + (1,)), cum], axis=-1)
+
+
+def _below(times: np.ndarray, at) -> tuple[np.ndarray, np.ndarray]:
+    """Points `at` and the index of the grid point at or below each."""
+    t = np.asarray(at, dtype=float)
+    return t, np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2)
+
+
+def _oscillator_states(w: float, cum: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """Position and velocity at `t` from the sums `cum` up to `t` (variation of constants)."""
+    p, q = cum
+    if w == 0.0:
+        return t * p - q, p
+    cos, sin = np.cos(w * t), np.sin(w * t)
+    return (sin * p - cos * q) / w, cos * p + sin * q
+
+
 def _driven_oscillator(w: float, g, times, at=None) -> tuple[np.ndarray, np.ndarray]:
     """Position and velocity of x'' + w^2 x = g(t), at rest at times[0].
 
@@ -211,39 +244,53 @@ def _driven_oscillator(w: float, g, times, at=None) -> tuple[np.ndarray, np.ndar
 
     def sums(a, b):
         s, weights = _gauss_panels(a, b)
-        gw = g(s) * weights
-        if w == 0.0:
-            return np.stack([gw.sum(axis=-1), (gw * s).sum(axis=-1)])
-        return np.stack([(gw * np.cos(w * s)).sum(axis=-1),
-                         (gw * np.sin(w * s)).sum(axis=-1)])
+        return _oscillator_sums(w, g(s) * weights, s)
 
-    cum = np.cumsum(sums(times[:-1], times[1:]), axis=-1)
-    cum = np.concatenate([np.zeros(cum.shape[:-1] + (1,)), cum], axis=-1)
+    cum = _cumulative(sums(times[:-1], times[1:]))
     if at is None:
-        t = times
-    else:
-        t = np.asarray(at, dtype=float)
-        k = np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2)
-        cum = cum[..., k] + sums(times[k], t)
-    p, q = cum
-    if w == 0.0:
-        return t * p - q, p
-    cos, sin = np.cos(w * t), np.sin(w * t)
-    return (sin * p - cos * q) / w, cos * p + sin * q
+        return _oscillator_states(w, cum, times)
+    t, k = _below(times, at)
+    return _oscillator_states(w, cum[..., k] + sums(times[k], t), t)
+
+
+def _extremal_sums(params: PhysicalParams, omega: float, control, a, b) -> list:
+    """Panel sums of the extremal's two driven oscillators over the intervals [a, b].
+
+    x1'' = -w0^2 u gives the trajectory and its velocity, and
+    x3'' + w0^2 x3 = -2 w0^2 sin(omega t) u the first-order pair; the control
+    is evaluated once on the panel nodes for both.
+    """
+    s, weights = _gauss_panels(a, b)
+    u, w0sq = control(s), params.omega0**2
+    return [_oscillator_sums(0.0, -w0sq * u * weights, s),
+            _oscillator_sums(params.omega0, -2.0 * w0sq * np.sin(omega * s) * u * weights, s)]
+
+
+def _extremal_grid(params: PhysicalParams, omega: float, control, times) -> list:
+    """Cumulative sums of both oscillators of the extremal on the grid `times`."""
+    return [_cumulative(sums)
+            for sums in _extremal_sums(params, omega, control, times[:-1], times[1:])]
 
 
 def _extremal_states(params: PhysicalParams, omega: float, control, times,
-                     at=None) -> np.ndarray:
+                     at=None, grid=None) -> np.ndarray:
     """States (x1, x2, x3, x4) of the extremal's state system driven by `control`.
 
-    x1'' = -w0^2 u gives the trajectory and its velocity, and
-    x3'' + w0^2 x3 = -2 w0^2 sin(omega t) u the first-order pair, all from
-    rest at t = 0; `times` and `at` as in `_driven_oscillator`.
+    All from rest at t = 0; `times` and `at` as in `_driven_oscillator`.
+    `grid` takes the `_extremal_grid` sums of an earlier call, so that only
+    the partial panels of `at` evaluate the control.
     """
-    w0sq = params.omega0**2
-    x1, x2 = _driven_oscillator(0.0, lambda s: -w0sq * control(s), times, at)
-    x3, x4 = _driven_oscillator(
-        params.omega0, lambda s: -2.0 * w0sq * np.sin(omega * s) * control(s), times, at)
+    times = np.asarray(times, dtype=float)
+    if grid is None:
+        grid = _extremal_grid(params, omega, control, times)
+    if at is None:
+        t, cums = times, grid
+    else:
+        t, k = _below(times, at)
+        cums = [cum[..., k] + part for cum, part
+                in zip(grid, _extremal_sums(params, omega, control, times[k], t))]
+    x1, x2 = _oscillator_states(0.0, cums[0], t)
+    x3, x4 = _oscillator_states(params.omega0, cums[1], t)
     return np.stack([x1, x2, x3, x4])
 
 
@@ -285,6 +332,8 @@ class OctSolution:
     jump_start: float         # |u(0)|: trap-path discontinuity at t=0, meters
     jump_end: float           # |u(T)|: discontinuity at t=T, meters
     endpoint_residual: float  # |x(T) - (d,0,0,0)| after the probe solve
+    # cumulative panel sums of the states on `times`, built by the first `states`
+    _grid: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def control(self, t):
         """Analytic extremal control u(t) = -(p2 + 2 sin(omega*t) p4)."""
@@ -296,8 +345,15 @@ class OctSolution:
         return -(p2 + 2.0 * np.sin(self.omega * t) * p4)
 
     def states(self, t):
-        """Exact states x1..x4 at any t in [0, T], shape (4, *t.shape)."""
-        return _extremal_states(self.params, self.omega, self.control, self.times, t)
+        """Exact states x1..x4 at any t in [0, T], shape (4, *t.shape).
+
+        The grid sums are built once per solution; after that a call
+        evaluates the control on one partial panel per point of `t`.
+        """
+        if self._grid is None:
+            self._grid = _extremal_grid(self.params, self.omega, self.control, self.times)
+        return _extremal_states(self.params, self.omega, self.control, self.times, t,
+                                self._grid)
 
     def trap_trajectory(self) -> TrapTrajectory:
         """Trap path x1 - u inside (0, T), clamped to the endpoints outside."""

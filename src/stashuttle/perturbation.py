@@ -14,9 +14,12 @@ import numpy as np
 
 from .model import (Perturbation, PerturbationKind, PhysicalParams, Protocol,
                     FourierSineProtocol, eval_perturbation)
-from .quadrature import (adaptive_quad, oscillation_panels, sine_phase_integral)
+from .quadrature import (PANEL_ORDER, adaptive_quad, oscillation_panels,
+                         sine_phase_integral)
 
 RTOL = 1e-10  # relative tolerance of every quadrature in this module
+# bound on lanes x nodes of the finest first grid of one block of lanes
+LANE_NODES = 1 << 15
 
 
 def _as_function(f):
@@ -48,7 +51,8 @@ class FirstOrderSolution:
         qc1(t)  = (2/w0) * int_0^t f(t') q0''(t') sin[w0 (t-t')] dt'
 
     (and the cosine kernels for the derivatives) by adaptive Gauss-Legendre
-    quadrature at 1e-10 relative tolerance.
+    quadrature at 1e-10 relative tolerance.  When `f(t)` returns shape
+    (*lanes, *t.shape), every evaluator returns the lane shape.
     """
 
     def __init__(self, params: PhysicalParams, proto: Protocol, f):
@@ -56,34 +60,49 @@ class FirstOrderSolution:
         self.proto = proto
         self._f, _ = _as_function(f)
 
-    def _conv(self, t: float, kernel, freq: float, weight) -> float:
-        if t == 0.0:
-            return 0.0
-        f, proto = self._f, self.proto
+    def _conv(self, t: float, freq: float, weight) -> np.ndarray:
+        """int_0^t weight(t') (sin, cos)[freq (t-t')] dt', shape (2, *lanes).
+
+        Both kernels integrate as one stacked pair from a single evaluation
+        of the weight, each element converging on its own.
+        """
         panels = oscillation_panels((freq + 2.0 * self.params.omega0) * t)
 
         def integrand(tp):
-            return weight(tp) * kernel(freq * (t - tp))
+            w = weight(tp)
+            phase = freq * (t - tp)
+            # filled in place: in a block of lanes the pair is the largest array
+            pair = np.empty((2,) + np.shape(w), np.result_type(w, 1.0))
+            np.multiply(w, np.sin(phase), out=pair[0])
+            np.multiply(w, np.cos(phase), out=pair[1])
+            return pair
 
-        return float(np.real(adaptive_quad(integrand, 0.0, t, RTOL, panels)))
+        return np.real(adaptive_quad(integrand, 0.0, t, RTOL, panels))
 
-    def rho1(self, t: float) -> float:
+    def _rho1_pair(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         w0 = self.params.omega0
-        return -w0 * self._conv(t, np.sin, 2.0 * w0, self._f)
-
-    def rho1_dot(self, t: float) -> float:
-        w0 = self.params.omega0
-        return -2.0 * w0**2 * self._conv(t, np.cos, 2.0 * w0, self._f)
+        s, c = self._conv(t, 2.0 * w0, self._f)
+        return -w0 * s, -2.0 * w0**2 * c
 
     def _weight_q(self, tp):
         return self._f(tp) * self.proto.acceleration(tp)
 
-    def qc1(self, t: float) -> float:
+    def _qc1_pair(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         w0 = self.params.omega0
-        return 2.0 / w0 * self._conv(t, np.sin, w0, self._weight_q)
+        s, c = self._conv(t, w0, self._weight_q)
+        return 2.0 / w0 * s, 2.0 * c
 
-    def qc1_dot(self, t: float) -> float:
-        return 2.0 * self._conv(t, np.cos, self.params.omega0, self._weight_q)
+    def rho1(self, t: float):
+        return self._rho1_pair(t)[0]
+
+    def rho1_dot(self, t: float):
+        return self._rho1_pair(t)[1]
+
+    def qc1(self, t: float):
+        return self._qc1_pair(t)[0]
+
+    def qc1_dot(self, t: float):
+        return self._qc1_pair(t)[1]
 
 
 def second_order_energy_freq(params: PhysicalParams, proto: Protocol, f,
@@ -91,18 +110,50 @@ def second_order_energy_freq(params: PhysicalParams, proto: Protocol, f,
     """Second-order excitation for Omega(t) = omega0*(1 + amplitude*f(t)).
 
     Reported per squared amplitude, split into the trajectory-dependent
-    (dynamical) and trajectory-independent (static) parts.
+    (dynamical) and trajectory-independent (static) parts.  A callable `f`
+    whose values carry leading lane axes, f(t) of shape (*lanes, *t.shape),
+    gives report fields of the lane shape, each lane computed as on its own.
     """
     sol = FirstOrderSolution(params, proto, f)
     T = params.duration
     w0, m = params.omega0, params.mass
-    fT = float(np.asarray(sol._f(T), dtype=float))
-    q1, q1d = sol.qc1(T), sol.qc1_dot(T)
-    r1, r1d = sol.rho1(T), sol.rho1_dot(T)
-    dyn = 0.5 * m * w0**2 * (q1**2 + (q1d / w0)**2)
-    stat = 0.25 * params.hbar * w0 * (2 * n + 1) * ((2.0 * r1 + fT)**2 + (r1d / w0)**2)
+    fT = np.asarray(sol._f(T), dtype=float)
+    q1, q1d = sol._qc1_pair(T)
+    r1, r1d = sol._rho1_pair(T)
+    # squares go through C pow (np.float_power), which Python's float ** also
+    # calls, so scan CSVs keep their bytes; numpy's ** multiplies instead and
+    # rounds about one square in a thousand differently
+    dyn = 0.5 * m * w0**2 * (np.float_power(q1, 2) + np.float_power(q1d / w0, 2))
+    stat = 0.25 * params.hbar * w0 * (2 * n + 1) * (np.float_power(2.0 * r1 + fT, 2)
+                                                   + np.float_power(r1d / w0, 2))
     eq = params.energy_quantum
     return ExcitationReport(stat / eq, dyn / eq, level=n)
+
+
+def sine_lanes(omegas):
+    """f(t) = sin(omega*t) for each of `omegas`, shape (lanes, *t.shape)."""
+    omegas = np.asarray(omegas, dtype=float)
+    return lambda t: np.sin(np.multiply.outer(omegas, t))
+
+
+def lane_blocks(params: PhysicalParams, omegas) -> list[slice]:
+    """Consecutive blocks of the frequency lanes `omegas` for `second_order_energy_freq`.
+
+    A block's lanes times the nodes of the finest grid its quadratures are
+    expected to reach stay within LANE_NODES; a lane that exceeds it alone
+    forms a block of its own.  That grid is the first doubling of the width
+    factor's panels, or of the panels resolving the fastest lane's phase.
+    """
+    w0, T = params.omega0, params.duration
+    base = oscillation_panels(4.0 * w0 * T)
+    blocks, start, widest = [], 0, 0
+    for k, omega in enumerate(np.abs(np.asarray(omegas, dtype=float)).tolist()):
+        nodes = 2 * PANEL_ORDER * max(base, oscillation_panels((omega + 2.0 * w0) * T))
+        widest = max(widest, nodes)
+        if k > start and (k + 1 - start) * widest > LANE_NODES:
+            blocks.append(slice(start, k))
+            start, widest = k, nodes
+    return blocks + [slice(start, len(omegas))]
 
 
 def second_order_energy_pos(params: PhysicalParams, proto: Protocol, h,

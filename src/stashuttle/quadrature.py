@@ -34,14 +34,15 @@ class QuadratureError(RuntimeError):
 
 
 def _panel_sum(f, a: float, b: float, n_panels: int):
+    """Panel-grid integral and max |f| of each integrand element (lane axes first)."""
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     t = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
     ft = np.asarray(f(t))
-    value = np.sum(ft.reshape(n_panels, PANEL_ORDER) * _WEIGHTS[None, :] * half[:, None])
-    scale = float(np.max(np.abs(ft))) if ft.size else 0.0
-    return value, scale
+    panels = ft.reshape(ft.shape[:-1] + (n_panels, PANEL_ORDER)) * _WEIGHTS
+    panels *= half[:, None]
+    return np.sum(panels, axis=(-2, -1)), np.max(np.abs(ft), axis=-1)
 
 
 def oscillation_panels(total_phase: float) -> int:
@@ -56,22 +57,34 @@ def adaptive_quad(f, a: float, b: float, rtol: float = 1e-10,
     Convergence is declared when doubling the panel count changes the result
     by less than ``rtol`` relative, with an absolute floor tied to the
     integrand magnitude so integrals that cancel to ~0 still terminate.
+
+    ``f(t)`` may return shape ``(*lanes, len(t))``: every element of the lane
+    axes is then an integral of its own, with its own floor (from its own
+    values), keeping the value of its own first converged doubling, and the
+    result has the lane shape.  The call raises if any element fails, with
+    the worst achieved change.  A 1-D integrand gives a scalar.
     """
     if b == a:
-        return 0.0
+        return np.zeros(np.shape(f(np.empty(0)))[:-1])[()]
     n = max(4, int(initial_panels))
     prev, _ = _panel_sum(f, a, b, n)
-    cur = prev
+    result = np.zeros_like(prev)
+    done = np.zeros(prev.shape, dtype=bool)
+    relative = np.full(prev.shape, np.inf)
     while n <= max_panels:
         n *= 2
         cur, scale = _panel_sum(f, a, b, n)
-        floor = 1e-14 * abs(b - a) * scale
-        if abs(cur - prev) <= max(rtol * abs(cur), floor):
-            return cur
+        change = np.abs(cur - prev)
+        converged = change <= np.maximum(rtol * np.abs(cur), 1e-14 * abs(b - a) * scale)
+        np.copyto(result, cur, where=converged & ~done)
+        done |= converged
+        if done.all():
+            return result[()]
+        relative = change / np.maximum(np.abs(cur), 1e-300)
         prev = cur
-    achieved = abs(cur - prev) / max(abs(cur), 1e-300)
     raise QuadratureError(
-        f"quadrature not converged to rtol={rtol:g} within {max_panels} panels", achieved)
+        f"quadrature not converged to rtol={rtol:g} within {max_panels} panels",
+        float(np.max(relative[~done])))
 
 
 def phase_integral(kappa: float, duration: float) -> complex:

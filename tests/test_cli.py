@@ -1,5 +1,7 @@
 import contextlib
 import copy
+import dataclasses
+import functools
 import io
 import json
 import math
@@ -13,7 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stashuttle
-from stashuttle.cli import main
+from stashuttle import (Perturbation, PhysicalParams, Polynomial5, perturbation,
+                        quadrature)
+from stashuttle.cli import _fmt, main
+from stashuttle.perturbation import second_order_energy_freq
 
 TWO_PI_MHZ = 2 * math.pi * 1e6
 
@@ -125,6 +130,53 @@ class TestScan:
         assert dyn[half:].max() < 0.05 * dyn[:half].max()
         assert 0.2 < stat[half:].max() / stat[:half].max() < 5.0
 
+    @pytest.mark.parametrize("level, axis", [
+        # through -2*omega0 and omega0, where the envelopes are NaN, and on
+        # to 352 MHz, where the quadratures need more doublings
+        (1, {"variable": "omega", "points": 121,
+             "min": {"value": -8.0, "unit": "two_pi_mhz"},
+             "max": {"value": 352.0, "unit": "two_pi_mhz"}}),
+        (0, {"variable": "duration", "points": 160,
+             "min": {"value": 0.5, "unit": "us"}, "max": {"value": 8.0, "unit": "us"}}),
+    ])
+    def test_rows_match_one_point_calls(self, tmp_path, capsys, level, axis):
+        # the lane blocks of a scan write the bytes of one call per point
+        config = base_config(level=level, scan=axis)
+        code, out, _ = run(tmp_path, capsys, "scan", config)
+        assert code == 0
+        units = {"omega": TWO_PI_MHZ, "duration": 1e-6}[axis["variable"]]
+        grid = np.linspace(axis["min"]["value"] * units, axis["max"]["value"] * units,
+                           axis["points"])
+        params = PhysicalParams(1.455e-25, 4.0 * TWO_PI_MHZ, 50e-6, 2e-6)
+        rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
+        assert len(rows) == axis["points"]
+        for value, row in zip(grid.tolist(), rows):
+            omega, p = 6.0 * TWO_PI_MHZ, params
+            if axis["variable"] == "omega":
+                omega = value
+            else:
+                p = dataclasses.replace(params, duration=value)
+            one = second_order_energy_freq(p, Polynomial5(p),
+                                           Perturbation.frequency_sine(omega, 0.01), level)
+            assert row[:4] == [_fmt(float(x)) for x in (value, one.static_quanta,
+                                                       one.dynamical_quanta,
+                                                       one.total_quanta)]
+        if axis["variable"] == "omega":
+            assert rows[0][4] == "nan" and rows[4][5] == "nan"
+
+    def test_non_converging_lane_exits_3(self, tmp_path, capsys, monkeypatch):
+        # 128 panels resolve the lanes up to 100 MHz, not those from 150 MHz on
+        monkeypatch.setattr(perturbation, "adaptive_quad",
+                            functools.partial(quadrature.adaptive_quad, max_panels=128))
+        config = base_config(scan={"variable": "omega", "points": 7,
+                                   "min": {"value": 1.0, "unit": "two_pi_mhz"},
+                                   "max": {"value": 300.0, "unit": "two_pi_mhz"}})
+        code, out, captured = run(tmp_path, capsys, "scan", config)
+        assert code == 3 and not out.exists()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["kind"] == "numerical"
+
     def test_missing_unit_is_config_error(self, tmp_path, capsys):
         config = base_config(scan={"variable": "omega", "points": 1,
                                    "min": {"value": 5.0},
@@ -170,6 +222,20 @@ class TestVerify:
         assert code == 0
         echoed = parse_echo(captured.out)
         assert float(echoed["max_relative_error"]) < 0.05
+
+    def test_perturbative_column_matches_one_point_calls(self, tmp_path, capsys):
+        axis = {"variable": "omega", "points": 5,
+                "min": {"value": 2.0, "unit": "two_pi_mhz"},
+                "max": {"value": 10.0, "unit": "two_pi_mhz"}}
+        code, out, _ = run(tmp_path, capsys, "verify", base_config(scan=axis))
+        assert code == 0
+        params = PhysicalParams(1.455e-25, 4.0 * TWO_PI_MHZ, 50e-6, 2e-6)
+        rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
+        grid = np.linspace(2.0 * TWO_PI_MHZ, 10.0 * TWO_PI_MHZ, 5)
+        for omega, row in zip(grid.tolist(), rows):
+            one = second_order_energy_freq(params, Polynomial5(params),
+                                           Perturbation.frequency_sine(omega, 0.01))
+            assert row[2] == _fmt(0.01**2 * one.total_quanta)
 
     def test_large_amplitude_rejected(self, tmp_path, capsys):
         config = base_config(scan={"variable": "duration", "points": 2,

@@ -244,6 +244,38 @@ class TestOctSolve:
         sol = oct_solve(params, TWO_PI * 5e6, n_steps=3000)
         assert sol.jump_start > 0 and sol.jump_end > 0
 
+    def test_scalar_states_match_array_states(self, params):
+        sol = oct_solve(params, TWO_PI * 5e6, n_steps=3000)
+        t = np.array([0.0, 0.123, 0.5, 0.77, 1.0]) * params.duration
+        at_once = sol.states(t)
+        for k, point in enumerate(t.tolist()):
+            assert np.array_equal(sol.states(point), at_once[:, k])
+        protocol = sol.protocol()
+        assert protocol.position(t[2]) == at_once[0, 2]
+        assert protocol.velocity(t[3]) == at_once[1, 3]
+
+    def test_states_reuse_the_grid_sums(self, params):
+        # after the first call, each requested time costs one partial panel
+        # of control evaluations (8 nodes), shared by both oscillators
+        sol = oct_solve(params, TWO_PI * 5e6, n_steps=3000)
+        nodes = []
+        control = sol.control
+
+        def counting(s):
+            nodes.append(np.size(s))
+            return control(s)
+
+        sol.control = counting
+        first = sol.states(0.3 * params.duration)
+        assert sum(nodes) == 8 * (3000 + 1)
+        nodes.clear()
+        t = np.linspace(0.1, 0.9, 5) * params.duration
+        sol.states(t)
+        assert nodes == [8 * t.size]
+        nodes.clear()
+        assert np.array_equal(sol.states(0.3 * params.duration), first)
+        assert nodes == [8]
+
     def test_input_validation(self, params):
         with pytest.raises(ValueError):
             oct_solve(params, -1.0)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stashuttle import (FirstOrderSolution, FourierSineProtocol, Perturbation,
                         PhysicalParams, Polynomial5, excess_energy_exact,
                         static_closed_form)
-from stashuttle.perturbation import (eta_ratio, fourier_dynamical,
+from stashuttle.perturbation import (LANE_NODES, eta_ratio, fourier_dynamical,
                                      fourier_static_freq, fourier_static_pos,
-                                     second_order_energy_freq,
-                                     second_order_energy_pos)
+                                     lane_blocks, second_order_energy_freq,
+                                     second_order_energy_pos, sine_lanes)
+from stashuttle.quadrature import PANEL_ORDER, oscillation_panels
 
 TWO_PI = 2 * np.pi
 
@@ -89,6 +91,62 @@ class TestSecondOrderFrequency:
                                          Perturbation.frequency_sine(omega, 0.01))
             assert r.static_quanta >= 0.0 and r.dynamical_quanta >= 0.0
             assert r.total_quanta == r.static_quanta + r.dynamical_quanta
+
+
+class TestLanes:
+    def test_lanes_match_one_point_calls(self, params):
+        proto = Polynomial5(params)
+        omegas = np.array([0.3, 1.0, 1.7, 2.0, 2.6, 3.9]) * params.omega0
+        lanes = second_order_energy_freq(params, proto, sine_lanes(omegas), n=1)
+        for k, omega in enumerate(omegas):
+            one = second_order_energy_freq(params, proto,
+                                           Perturbation.frequency_sine(omega, 0.01), n=1)
+            assert lanes.static_quanta[k] == one.static_quanta
+            assert lanes.dynamical_quanta[k] == one.dynamical_quanta
+
+    def test_first_order_evaluators_take_lanes(self, params):
+        omegas = np.array([0.7, 2.2]) * params.omega0
+        lanes = FirstOrderSolution(params, Polynomial5(params), sine_lanes(omegas))
+        t = 0.6 * params.duration
+        for k, omega in enumerate(omegas):
+            one = FirstOrderSolution(params, Polynomial5(params),
+                                     Perturbation.frequency_sine(omega, 0.01))
+            for name in ("rho1", "rho1_dot", "qc1", "qc1_dot"):
+                assert getattr(lanes, name)(t)[k] == getattr(one, name)(t)
+        assert not lanes.rho1(0.0).any() and lanes.qc1_dot(0.0).shape == (2,)
+
+    def test_blocks_cover_the_axis_within_the_node_bound(self, params):
+        omegas = np.linspace(0.1, 200.0, 2000) * params.omega0
+        blocks = lane_blocks(params, omegas)
+        assert blocks[0].start == 0 and blocks[-1].stop == omegas.size
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        # slow lanes fill a block up to the bound against the width factor's
+        # first doubling; the fast end of the axis goes one lane at a time
+        first = 2 * PANEL_ORDER * oscillation_panels(4.0 * params.omega0 * params.duration)
+        assert blocks[0].stop == LANE_NODES // first > 1
+        assert blocks[-1].stop - blocks[-1].start == 1
+        assert lane_blocks(params, omegas[:1]) == [slice(0, 1)]
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(omega0_mhz=st.floats(1.0, 10.0), duration_us=st.floats(0.5, 5.0),
+           distance_um=st.floats(10.0, 200.0),
+           ratios=st.lists(st.floats(0.05, 4.0), min_size=1, max_size=6))
+    def test_lanes_agree_with_independent_forms(self, omega0_mhz, duration_us,
+                                                distance_um, ratios):
+        # the lane path of the time-integral form against the closed static
+        # form and the Fourier dynamical form, lane by lane
+        params = PhysicalParams(mass=1.455e-25, omega0=omega0_mhz * TWO_PI * 1e6,
+                                distance=distance_um * 1e-6, duration=duration_us * 1e-6)
+        proto = Polynomial5(params)
+        omegas = np.array(ratios) * params.omega0
+        report = second_order_energy_freq(params, proto, sine_lanes(omegas))
+        assert report.static_quanta.shape == report.dynamical_quanta.shape == omegas.shape
+        for k, omega in enumerate(omegas):
+            closed = static_closed_form(params, omega)
+            fourier = fourier_dynamical(params, proto, Perturbation.frequency_sine(omega, 0.01))
+            static, dynamical = report.static_quanta[k], report.dynamical_quanta[k]
+            assert abs(static - closed) <= 1e-9 * max(static, closed, 1e-15)
+            assert abs(dynamical - fourier) <= 1e-9 * max(dynamical, fourier, 1e-15)
 
 
 class TestSecondOrderPosition:

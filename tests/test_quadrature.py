@@ -65,3 +65,64 @@ def test_non_convergence_raises():
 def test_deterministic():
     f = lambda t: np.exp(np.sin(17.0 * t))
     assert adaptive_quad(f, 0.0, 1.0) == adaptive_quad(f, 0.0, 1.0)
+
+
+# -- lanes: an integrand of shape (*lanes, len(t)) ----------------------------
+
+def _counting(f, sizes):
+    def counted(t):
+        sizes.append(t.size)
+        return f(t)
+    return counted
+
+
+def test_lanes_match_scalar_calls_bit_for_bit():
+    # lanes of very different size: each converges against its own floor
+    ks = np.array([[0.5, 3.0, 17.0], [40.0, 90.0, 7.5]])
+    sizes = np.array([[1.0, 1e-9, 1e6], [3.0, 1e-3, 1e9]])
+
+    def lane(k, size):
+        return lambda t: size * (np.cos(np.multiply.outer(k, t)) * np.exp(-t)
+                                 + 1j * np.sin(np.multiply.outer(k, t)))
+
+    got = adaptive_quad(lane(ks, sizes[..., None]), 0.0, 2.0, rtol=1e-11)
+    assert got.shape == ks.shape
+    for idx, k in np.ndenumerate(ks):
+        assert got[idx] == adaptive_quad(lane(k, sizes[idx]), 0.0, 2.0, rtol=1e-11)
+
+
+def test_straggler_lane_keeps_its_own_doubling():
+    # the fast lane needs more doublings than the slow ones; every lane keeps
+    # the value of its own first converged doubling, not the finest grid's
+    ks = np.array([1.3, 2.9, 400.0])
+
+    def lane(k):
+        return lambda t: np.exp(np.sin(np.multiply.outer(k, t)))
+
+    stacked_sizes, early_sizes, late_sizes = [], [], []
+    got = adaptive_quad(_counting(lane(ks), stacked_sizes), 0.0, 1.0)
+    early = adaptive_quad(_counting(lane(ks[0]), early_sizes), 0.0, 1.0)
+    late = adaptive_quad(_counting(lane(ks[2]), late_sizes), 0.0, 1.0)
+    assert len(early_sizes) < len(late_sizes) == len(stacked_sizes)
+    assert got[0] == early and got[2] == late
+    assert got[1] == adaptive_quad(lane(ks[1]), 0.0, 1.0)
+    # on the finest grid the early lane rounds differently, so the equality
+    # above holds only for the value of its own first converged doubling
+    finest = adaptive_quad(lane(ks[0]), 0.0, 1.0, initial_panels=late_sizes[-2] // 16)
+    assert finest != early
+
+
+def test_one_non_converging_lane_raises():
+    rng = np.random.default_rng(0)
+
+    def lanes(t):
+        return np.stack([np.sin(t), rng.normal(size=np.shape(t)), np.cos(t)])
+
+    with pytest.raises(QuadratureError) as info:
+        adaptive_quad(lanes, 0.0, 1.0, rtol=1e-12, max_panels=64)
+    assert info.value.achieved > 1e-12
+
+
+def test_zero_width_interval_keeps_lane_shape():
+    got = adaptive_quad(lambda t: np.ones((2, 3) + np.shape(t)), 1.0, 1.0)
+    assert got.shape == (2, 3) and not got.any()
