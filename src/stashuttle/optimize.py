@@ -229,68 +229,74 @@ def _oscillator_states(w: float, cum: np.ndarray, t) -> tuple[np.ndarray, np.nda
     return (sin * p - cos * q) / w, cos * p + sin * q
 
 
-def _driven_oscillator(w: float, g, times, at=None) -> tuple[np.ndarray, np.ndarray]:
-    """Position and velocity of x'' + w^2 x = g(t), at rest at times[0].
+def _panel_sums(ws, drive, a, b) -> list:
+    """Panel sums over the intervals [a, b] of x'' + w^2 x = g, one per w of `ws`.
+
+    `drive(s)` gives the drives g of all the oscillators at the nodes s, so
+    that what they share is evaluated once.
+    """
+    s, weights = _gauss_panels(a, b)
+    return [_oscillator_sums(w, g * weights, s) for w, g in zip(ws, drive(s))]
+
+
+def _grid_sums(ws, drive, times) -> list:
+    """Cumulative panel sums of the oscillators of `_panel_sums` on the grid `times`."""
+    return [_cumulative(sums) for sums in _panel_sums(ws, drive, times[:-1], times[1:])]
+
+
+def _driven_oscillators(ws, drive, times, at=None, grid=None) -> list:
+    """Position and velocity of each x'' + w^2 x = g(t) of `ws`, at rest at times[0].
 
     The response is a convolution of g: one Gauss-Legendre panel on each
     interval of the sorted grid `times` gives cumulative sums of g weighted by
     (1, s) when w = 0 and by (cos ws, sin ws) otherwise, and variation of
     constants turns them into the states on the grid.  With `at`, the states
     at those points of [times[0], times[-1]] add one partial panel to the sums
-    at the grid point below each.  `g` is vectorized; axes it prepends are
-    kept in front of the time axes.
+    at the grid point below each.  `grid` takes the `_grid_sums` of an
+    earlier call, so that only those partial panels evaluate the drive.  The
+    drives are vectorized; axes they prepend are kept in front of the time axes.
     """
     times = np.asarray(times, dtype=float)
-
-    def sums(a, b):
-        s, weights = _gauss_panels(a, b)
-        return _oscillator_sums(w, g(s) * weights, s)
-
-    cum = _cumulative(sums(times[:-1], times[1:]))
+    if grid is None:
+        grid = _grid_sums(ws, drive, times)
     if at is None:
-        return _oscillator_states(w, cum, times)
-    t, k = _below(times, at)
-    return _oscillator_states(w, cum[..., k] + sums(times[k], t), t)
+        t, cums = times, grid
+    else:
+        t, k = _below(times, at)
+        cums = [cum[..., k] + part
+                for cum, part in zip(grid, _panel_sums(ws, drive, times[k], t))]
+    return [_oscillator_states(w, cum, t) for w, cum in zip(ws, cums)]
 
 
-def _extremal_sums(params: PhysicalParams, omega: float, control, a, b) -> list:
-    """Panel sums of the extremal's two driven oscillators over the intervals [a, b].
+def _driven_oscillator(w: float, g, times, at=None) -> tuple[np.ndarray, np.ndarray]:
+    """Position and velocity of the one oscillator x'' + w^2 x = g(t), as above."""
+    return _driven_oscillators((w,), lambda s: (g(s),), times, at)[0]
+
+
+def _extremal_system(params: PhysicalParams, omega: float, control) -> tuple:
+    """Frequencies and drive of the extremal's two driven oscillators.
 
     x1'' = -w0^2 u gives the trajectory and its velocity, and
     x3'' + w0^2 x3 = -2 w0^2 sin(omega t) u the first-order pair; the control
     is evaluated once on the panel nodes for both.
     """
-    s, weights = _gauss_panels(a, b)
-    u, w0sq = control(s), params.omega0**2
-    return [_oscillator_sums(0.0, -w0sq * u * weights, s),
-            _oscillator_sums(params.omega0, -2.0 * w0sq * np.sin(omega * s) * u * weights, s)]
+    w0sq = params.omega0**2
 
+    def drive(s):
+        u = control(s)
+        return -w0sq * u, -2.0 * w0sq * np.sin(omega * s) * u
 
-def _extremal_grid(params: PhysicalParams, omega: float, control, times) -> list:
-    """Cumulative sums of both oscillators of the extremal on the grid `times`."""
-    return [_cumulative(sums)
-            for sums in _extremal_sums(params, omega, control, times[:-1], times[1:])]
+    return (0.0, params.omega0), drive
 
 
 def _extremal_states(params: PhysicalParams, omega: float, control, times,
                      at=None, grid=None) -> np.ndarray:
     """States (x1, x2, x3, x4) of the extremal's state system driven by `control`.
 
-    All from rest at t = 0; `times` and `at` as in `_driven_oscillator`.
-    `grid` takes the `_extremal_grid` sums of an earlier call, so that only
-    the partial panels of `at` evaluate the control.
+    All from rest at t = 0; `times`, `at` and `grid` as in `_driven_oscillators`.
     """
-    times = np.asarray(times, dtype=float)
-    if grid is None:
-        grid = _extremal_grid(params, omega, control, times)
-    if at is None:
-        t, cums = times, grid
-    else:
-        t, k = _below(times, at)
-        cums = [cum[..., k] + part for cum, part
-                in zip(grid, _extremal_sums(params, omega, control, times[k], t))]
-    x1, x2 = _oscillator_states(0.0, cums[0], t)
-    x3, x4 = _oscillator_states(params.omega0, cums[1], t)
+    (x1, x2), (x3, x4) = _driven_oscillators(*_extremal_system(params, omega, control),
+                                             times, at, grid)
     return np.stack([x1, x2, x3, x4])
 
 
@@ -351,7 +357,8 @@ class OctSolution:
         evaluates the control on one partial panel per point of `t`.
         """
         if self._grid is None:
-            self._grid = _extremal_grid(self.params, self.omega, self.control, self.times)
+            ws, drive = _extremal_system(self.params, self.omega, self.control)
+            self._grid = _grid_sums(ws, drive, self.times)
         return _extremal_states(self.params, self.omega, self.control, self.times, t,
                                 self._grid)
 

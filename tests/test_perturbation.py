@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from stashuttle import (FirstOrderSolution, FourierSineProtocol, Perturbation,
                         PhysicalParams, Polynomial5, excess_energy_exact,
                         static_closed_form)
+from stashuttle import perturbation, quadrature
 from stashuttle.perturbation import (LANE_NODES, eta_ratio, fourier_dynamical,
                                      fourier_static_freq, fourier_static_pos,
                                      lane_blocks, second_order_energy_freq,
@@ -114,6 +115,41 @@ class TestLanes:
             for name in ("rho1", "rho1_dot", "qc1", "qc1_dot"):
                 assert getattr(lanes, name)(t)[k] == getattr(one, name)(t)
         assert not lanes.rho1(0.0).any() and lanes.qc1_dot(0.0).shape == (2,)
+
+    def test_one_evaluator_integrates_one_kernel(self, params, monkeypatch):
+        sol = FirstOrderSolution(params, Polynomial5(params),
+                                 Perturbation.frequency_sine(TWO_PI * 6e6, 0.01))
+        t = 0.6 * params.duration
+        pairs = {"rho1": sol._rho1_parts(t), "qc1": sol._qc1_parts(t)}
+        rows, quad = [], perturbation.adaptive_quad
+
+        def counting(f, *args):
+            rows.append(len(f(np.zeros(1))))
+            return quad(f, *args)
+
+        monkeypatch.setattr(perturbation, "adaptive_quad", counting)
+        for name, k in [("rho1", 0), ("rho1_dot", 1), ("qc1", 0), ("qc1_dot", 1)]:
+            assert getattr(sol, name)(t) == pairs[name.split("_")[0]][k]
+        assert rows == [1, 1, 1, 1]
+
+    def test_estimated_grid_covers_the_grid_reached(self, params, monkeypatch):
+        # from lanes that stop at the first doubling to ones that double
+        # four times more, the estimate is at least the finest grid reached
+        # and less than twice it
+        reached, panel_sum = [], quadrature._panel_sum
+
+        def spy(f, a, b, n):
+            reached.append(n)
+            return panel_sum(f, a, b, n)
+
+        monkeypatch.setattr(quadrature, "_panel_sum", spy)
+        proto = Polynomial5(params)
+        for ratio in (0.1, 4.0, 25.0, 50.0, 100.0, 200.0):
+            omega = ratio * params.omega0
+            reached.clear()
+            second_order_energy_freq(params, proto, sine_lanes([omega]))
+            estimate = perturbation._estimated_panels(params, omega)
+            assert max(reached) <= estimate < 2 * max(reached)
 
     def test_blocks_cover_the_axis_within_the_node_bound(self, params):
         omegas = np.linspace(0.1, 200.0, 2000) * params.omega0
