@@ -40,9 +40,11 @@ def _panel_sum(f, a: float, b: float, n_panels: int):
     half = 0.5 * (edges[1:] - edges[:-1])
     t = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
     ft = np.asarray(f(t))
+    # the scale first, so that |f| is freed before the weighted copy is made
+    scale = np.max(np.abs(ft), axis=-1)
     panels = ft.reshape(ft.shape[:-1] + (n_panels, PANEL_ORDER)) * _WEIGHTS
     panels *= half[:, None]
-    return np.sum(panels, axis=(-2, -1)), np.max(np.abs(ft), axis=-1)
+    return np.sum(panels, axis=(-2, -1)), scale
 
 
 def oscillation_panels(total_phase: float) -> int:
