@@ -229,64 +229,58 @@ def _oscillator_states(w: float, cum: np.ndarray, t) -> tuple[np.ndarray, np.nda
     return (sin * p - cos * q) / w, cos * p + sin * q
 
 
-def _panel_sums(ws, drive, a, b) -> list:
-    """Panel sums over the intervals [a, b] of x'' + w^2 x = g, one per w of `ws`.
+def _panel_sums(oscillators, g, a, b) -> list:
+    """Panel sums over the intervals [a, b] of each x'' + w^2 x = factor(t) g(t).
 
-    `drive(s)` gives the drives g of all the oscillators at the nodes s, so
-    that what they share is evaluated once.
+    `oscillators` holds (w, factor) pairs.  The drive g is evaluated once on
+    the nodes for all of them; each oscillator's weighted drive is freed
+    before the next one's is made.
     """
     s, weights = _gauss_panels(a, b)
-    return [_oscillator_sums(w, g * weights, s) for w, g in zip(ws, drive(s))]
+    gs = g(s)
+    return [_oscillator_sums(w, factor(s) * gs * weights, s) for w, factor in oscillators]
 
 
-def _grid_sums(ws, drive, times) -> list:
+def _grid_sums(oscillators, g, times) -> list:
     """Cumulative panel sums of the oscillators of `_panel_sums` on the grid `times`."""
-    return [_cumulative(sums) for sums in _panel_sums(ws, drive, times[:-1], times[1:])]
+    return [_cumulative(sums)
+            for sums in _panel_sums(oscillators, g, times[:-1], times[1:])]
 
 
-def _driven_oscillators(ws, drive, times, at=None, grid=None) -> list:
-    """Position and velocity of each x'' + w^2 x = g(t) of `ws`, at rest at times[0].
+def _driven_oscillators(oscillators, g, times, at=None, grid=None) -> list:
+    """Position and velocity of each x'' + w^2 x = factor(t) g(t), at rest at times[0].
 
-    The response is a convolution of g: one Gauss-Legendre panel on each
-    interval of the sorted grid `times` gives cumulative sums of g weighted by
-    (1, s) when w = 0 and by (cos ws, sin ws) otherwise, and variation of
-    constants turns them into the states on the grid.  With `at`, the states
-    at those points of [times[0], times[-1]] add one partial panel to the sums
-    at the grid point below each.  `grid` takes the `_grid_sums` of an
-    earlier call, so that only those partial panels evaluate the drive.  The
-    drives are vectorized; axes they prepend are kept in front of the time axes.
+    `oscillators` holds (w, factor) pairs.  The response is a convolution of
+    the drive: one Gauss-Legendre panel on each interval of the sorted grid
+    `times` gives cumulative sums of it weighted by (1, s) when w = 0 and by
+    (cos ws, sin ws) otherwise, and variation of constants turns them into
+    the states on the grid.  With `at`, the states at those points of
+    [times[0], times[-1]] add one partial panel to the sums at the grid point
+    below each.  `grid` takes the `_grid_sums` of an earlier call, so that
+    only those partial panels evaluate g.  `g` is vectorized; axes it
+    prepends are kept in front of the time axes.
     """
     times = np.asarray(times, dtype=float)
     if grid is None:
-        grid = _grid_sums(ws, drive, times)
+        grid = _grid_sums(oscillators, g, times)
     if at is None:
         t, cums = times, grid
     else:
         t, k = _below(times, at)
         cums = [cum[..., k] + part
-                for cum, part in zip(grid, _panel_sums(ws, drive, times[k], t))]
-    return [_oscillator_states(w, cum, t) for w, cum in zip(ws, cums)]
+                for cum, part in zip(grid, _panel_sums(oscillators, g, times[k], t))]
+    return [_oscillator_states(w, cum, t) for (w, _), cum in zip(oscillators, cums)]
 
 
-def _driven_oscillator(w: float, g, times, at=None) -> tuple[np.ndarray, np.ndarray]:
-    """Position and velocity of the one oscillator x'' + w^2 x = g(t), as above."""
-    return _driven_oscillators((w,), lambda s: (g(s),), times, at)[0]
-
-
-def _extremal_system(params: PhysicalParams, omega: float, control) -> tuple:
-    """Frequencies and drive of the extremal's two driven oscillators.
+def _extremal_oscillators(params: PhysicalParams, omega: float) -> list:
+    """(w, factor) of the extremal's two oscillators, both driven by the control u.
 
     x1'' = -w0^2 u gives the trajectory and its velocity, and
-    x3'' + w0^2 x3 = -2 w0^2 sin(omega t) u the first-order pair; the control
-    is evaluated once on the panel nodes for both.
+    x3'' + w0^2 x3 = -2 w0^2 sin(omega t) u the first-order pair.
     """
     w0sq = params.omega0**2
-
-    def drive(s):
-        u = control(s)
-        return -w0sq * u, -2.0 * w0sq * np.sin(omega * s) * u
-
-    return (0.0, params.omega0), drive
+    return [(0.0, lambda s: -w0sq),
+            (params.omega0, lambda s: -2.0 * w0sq * np.sin(omega * s))]
 
 
 def _extremal_states(params: PhysicalParams, omega: float, control, times,
@@ -295,8 +289,8 @@ def _extremal_states(params: PhysicalParams, omega: float, control, times,
 
     All from rest at t = 0; `times`, `at` and `grid` as in `_driven_oscillators`.
     """
-    (x1, x2), (x3, x4) = _driven_oscillators(*_extremal_system(params, omega, control),
-                                             times, at, grid)
+    (x1, x2), (x3, x4) = _driven_oscillators(_extremal_oscillators(params, omega),
+                                             control, times, at, grid)
     return np.stack([x1, x2, x3, x4])
 
 
@@ -357,8 +351,8 @@ class OctSolution:
         evaluates the control on one partial panel per point of `t`.
         """
         if self._grid is None:
-            ws, drive = _extremal_system(self.params, self.omega, self.control)
-            self._grid = _grid_sums(ws, drive, self.times)
+            self._grid = _grid_sums(_extremal_oscillators(self.params, self.omega),
+                                    self.control, self.times)
         return _extremal_states(self.params, self.omega, self.control, self.times, t,
                                 self._grid)
 
@@ -455,7 +449,7 @@ def avg_dynamical_potential(params: PhysicalParams, proto: Protocol,
         def forcing(s):
             return 2.0 * eval_perturbation(pert, s) * proto.acceleration(s)
 
-        q1, _ = _driven_oscillator(params.omega0, forcing, t)
+        [(q1, _)] = _driven_oscillators([(params.omega0, lambda s: 1.0)], forcing, t)
         deviation = deviation + pert.amplitude * q1
 
     integrand = 0.5 * params.mass * om2 * deviation**2

@@ -9,8 +9,8 @@ from stashuttle import (DesignConstraints, DesignError, GaConfig, Perturbation,
                         nullspace_parametrize, oct_solve, trap_from_classical)
 from stashuttle.design import assemble_system
 from stashuttle.dynamics import solve_auxiliary
-from stashuttle.optimize import (_control_basis, _driven_oscillator, _driven_oscillators,
-                                 _extremal_states, _grid_sums)
+from stashuttle.optimize import (_control_basis, _driven_oscillators, _extremal_states,
+                                 _grid_sums)
 
 TWO_PI = 2 * np.pi
 
@@ -146,11 +146,11 @@ class TestDrivenOscillator:
         times = np.linspace(0.0, T, 2001)
         at = np.concatenate([[0.0, T], np.random.default_rng(3).uniform(0.0, T, 50)])
         scale = 1.0 / (w**2 - a**2)
-        drive = lambda s: (np.cos(a * s),)
+        one, drive = [(w, lambda s: 1.0)], lambda s: np.cos(a * s)
         # off the grid both with fresh sums and with the sums of an earlier call
-        cached = _driven_oscillators((w,), drive, times, at, _grid_sums((w,), drive, times))
-        for t, (x, v) in [(times, _driven_oscillator(w, lambda s: np.cos(a * s), times)),
-                          (at, _driven_oscillator(w, lambda s: np.cos(a * s), times, at)),
+        cached = _driven_oscillators(one, drive, times, at, _grid_sums(one, drive, times))
+        for t, (x, v) in [(times, _driven_oscillators(one, drive, times)[0]),
+                          (at, _driven_oscillators(one, drive, times, at)[0]),
                           (at, cached[0])]:
             assert np.allclose(x, (np.cos(a * t) - np.cos(w * t)) * scale,
                                rtol=0, atol=1e-12 * abs(scale))
@@ -160,7 +160,7 @@ class TestDrivenOscillator:
     def test_prepended_axes_are_kept(self, params):
         times = np.linspace(0.0, params.duration, 2001)
         rows = lambda s: np.stack([np.ones_like(s), s])
-        x, v = _driven_oscillator(0.0, rows, times, times[[3, 7]])
+        [(x, v)] = _driven_oscillators([(0.0, lambda s: 1.0)], rows, times, times[[3, 7]])
         assert x.shape == v.shape == (2, 2)
 
 
