@@ -12,7 +12,9 @@ bit-reproducible for a given step count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -79,13 +81,21 @@ def shifted_trap(trap: TrapTrajectory, pert: Perturbation,
     return TrapTrajectory(fn, ideal=False)
 
 
+def _reject_first(bad: np.ndarray, tg: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first time of the grid `tg` where `bad` holds."""
+    if bad.any():
+        raise ValueError(f"{what}; first violation at t={tg[int(np.argmax(bad))]:.6e} s")
+
+
 def solve_auxiliary(params: PhysicalParams, omega_of_t, trap: TrapTrajectory,
                     n_steps: int = DEFAULT_STEPS) -> AuxiliarySolution:
     """Fixed-step RK4 solution over [0, duration] from the rest initial conditions.
 
-    `omega_of_t` must accept ndarray arguments and stay positive on the
-    window.  Doubling `n_steps` should move the endpoint values by less than
-    1e-8 relative; that convergence contract substitutes for step control.
+    `omega_of_t` must accept ndarray arguments and stay positive and finite
+    on the window, and `trap` must stay finite; otherwise ValueError names
+    the first bad time.  Doubling `n_steps` should move the endpoint values
+    by less than 1e-8 relative; that convergence contract substitutes for
+    step control.
     """
     if n_steps < 100:
         raise ValueError("n_steps >= 100 required")
@@ -94,32 +104,34 @@ def solve_auxiliary(params: PhysicalParams, omega_of_t, trap: TrapTrajectory,
     # stage times of classic RK4 live on the half-step grid, so the whole
     # time dependence can be evaluated vectorized up front
     tg = np.linspace(0.0, T, 2 * n_steps + 1)
+    # a NaN here would end in a misleading rho failure or a silent NaN energy
     om = np.asarray(omega_of_t(tg), dtype=float)
-    if np.any(om <= 0.0):
-        bad = tg[int(np.argmax(om <= 0.0))]
-        raise ValueError(f"omega_of_t must stay positive on [0, T]; "
-                         f"first violation at t={bad:.6e} s")
+    _reject_first(~(np.isfinite(om) & (om > 0.0)), tg,
+                  "omega_of_t must stay positive and finite on [0, T]")
+    Q = np.asarray(trap(tg), dtype=float)
+    _reject_first(~np.isfinite(Q), tg, "trap path must stay finite on [0, T]")
     om2 = om ** 2
-    forcing = om2 * np.asarray(trap(tg), dtype=float)
     om2_l = om2.tolist()
-    forc_l = forcing.tolist()
+    forc_l = (om2 * Q).tolist()
     w0sq = params.omega0**2
 
-    rho_g = np.empty(n_steps + 1)
-    rhod_g = np.empty(n_steps + 1)
-    qc_g = np.empty(n_steps + 1)
-    qcd_g = np.empty(n_steps + 1)
+    grids = [np.empty(n_steps + 1) for _ in range(4)]
+    # memoryviews store a Python float into the numpy grids at half the cost
+    # of ndarray indexing
+    rho_g, rhod_g, qc_g, qcd_g = map(memoryview, grids)
     rho, rhod, qc, qcd = 1.0, 0.0, 0.0, 0.0
     rho_g[0], rhod_g[0], qc_g[0], qcd_g[0] = rho, rhod, qc, qcd
 
     h2 = 0.5 * h
     h6 = h / 6.0
-    for k in range(n_steps):
+    # step idx takes Omega^2 and the forcing at its start (a0, b0), midpoint
+    # (a1, b1) and end (a2, b2): half-step samples 2*idx - 2, 2*idx - 1, 2*idx
+    samples = zip(range(1, n_steps + 1),
+                  islice(om2_l, 0, None, 2), islice(om2_l, 1, None, 2),
+                  islice(om2_l, 2, None, 2), islice(forc_l, 0, None, 2),
+                  islice(forc_l, 1, None, 2), islice(forc_l, 2, None, 2))
+    for idx, a0, a1, a2, b0, b1, b2 in samples:
         try:
-            i0 = 2 * k
-            a0, a1, a2 = om2_l[i0], om2_l[i0 + 1], om2_l[i0 + 2]
-            b0, b1, b2 = forc_l[i0], forc_l[i0 + 1], forc_l[i0 + 2]
-
             k1r = rhod
             k1s = w0sq / rho**3 - a0 * rho
             k1q = qcd
@@ -146,18 +158,18 @@ def solve_auxiliary(params: PhysicalParams, omega_of_t, trap: TrapTrajectory,
             k4q = qcd + h * k3p
             k4p = b2 - a2 * q
         except (OverflowError, ZeroDivisionError) as exc:
-            raise IntegrationError(f"integration blew up ({exc})", (k + 1) * h) from None
+            raise IntegrationError(f"integration blew up ({exc})", idx * h) from None
 
         rho = rho + h6 * (k1r + 2.0 * (k2r + k3r) + k4r)
         rhod = rhod + h6 * (k1s + 2.0 * (k2s + k3s) + k4s)
         qc = qc + h6 * (k1q + 2.0 * (k2q + k3q) + k4q)
         qcd = qcd + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
-        if rho <= 0.0 or not np.isfinite(rho):
-            raise IntegrationError("width factor rho became nonpositive", (k + 1) * h)
-        idx = k + 1
+        # rejects nonpositive, NaN and +inf
+        if not 0.0 < rho < math.inf:
+            raise IntegrationError("width factor rho became nonpositive", idx * h)
         rho_g[idx], rhod_g[idx], qc_g[idx], qcd_g[idx] = rho, rhod, qc, qcd
 
-    return AuxiliarySolution(tg[::2].copy(), rho_g, rhod_g, qc_g, qcd_g)
+    return AuxiliarySolution(tg[::2].copy(), *grids)
 
 
 def exact_energy(sol: AuxiliarySolution, params: PhysicalParams,

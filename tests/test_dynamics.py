@@ -1,16 +1,95 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stashuttle import (AuxiliarySolution, IntegrationError, Perturbation,
                         PhysicalParams, Polynomial5, TrapTrajectory,
                         energy_profile, exact_energy, excess_energy_exact,
-                        solve_auxiliary, trap_from_classical)
+                        shifted_trap, solve_auxiliary, trap_from_classical)
 from stashuttle.dynamics import perturbed_frequency
 from stashuttle.perturbation import second_order_energy_freq
 
 
 def constant_omega(w):
     return lambda t: w * np.ones_like(np.asarray(t, dtype=float))
+
+
+def reference_solve_auxiliary(params, omega_of_t, trap, n_steps):
+    """Indexed form of the RK4 step loop of `solve_auxiliary`, kept verbatim.
+
+    The package's loop takes its samples from iterators and stores through
+    memoryviews; it must give the same floats, bit for bit, as this one.
+    """
+    T = params.duration
+    h = T / n_steps
+    tg = np.linspace(0.0, T, 2 * n_steps + 1)
+    om = np.asarray(omega_of_t(tg), dtype=float)
+    om2 = om ** 2
+    forcing = om2 * np.asarray(trap(tg), dtype=float)
+    om2_l = om2.tolist()
+    forc_l = forcing.tolist()
+    w0sq = params.omega0**2
+
+    rho_g = np.empty(n_steps + 1)
+    rhod_g = np.empty(n_steps + 1)
+    qc_g = np.empty(n_steps + 1)
+    qcd_g = np.empty(n_steps + 1)
+    rho, rhod, qc, qcd = 1.0, 0.0, 0.0, 0.0
+    rho_g[0], rhod_g[0], qc_g[0], qcd_g[0] = rho, rhod, qc, qcd
+
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    for k in range(n_steps):
+        try:
+            i0 = 2 * k
+            a0, a1, a2 = om2_l[i0], om2_l[i0 + 1], om2_l[i0 + 2]
+            b0, b1, b2 = forc_l[i0], forc_l[i0 + 1], forc_l[i0 + 2]
+
+            k1r = rhod
+            k1s = w0sq / rho**3 - a0 * rho
+            k1q = qcd
+            k1p = b0 - a0 * qc
+
+            r = rho + h2 * k1r
+            k2r = rhod + h2 * k1s
+            k2s = w0sq / r**3 - a1 * r
+            q = qc + h2 * k1q
+            k2q = qcd + h2 * k1p
+            k2p = b1 - a1 * q
+
+            r = rho + h2 * k2r
+            k3r = rhod + h2 * k2s
+            k3s = w0sq / r**3 - a1 * r
+            q = qc + h2 * k2q
+            k3q = qcd + h2 * k2p
+            k3p = b1 - a1 * q
+
+            r = rho + h * k3r
+            k4r = rhod + h * k3s
+            k4s = w0sq / r**3 - a2 * r
+            q = qc + h * k3q
+            k4q = qcd + h * k3p
+            k4p = b2 - a2 * q
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise IntegrationError(f"integration blew up ({exc})", (k + 1) * h) from None
+
+        rho = rho + h6 * (k1r + 2.0 * (k2r + k3r) + k4r)
+        rhod = rhod + h6 * (k1s + 2.0 * (k2s + k3s) + k4s)
+        qc = qc + h6 * (k1q + 2.0 * (k2q + k3q) + k4q)
+        qcd = qcd + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
+        if rho <= 0.0 or not np.isfinite(rho):
+            raise IntegrationError("width factor rho became nonpositive", (k + 1) * h)
+        idx = k + 1
+        rho_g[idx], rhod_g[idx], qc_g[idx], qcd_g[idx] = rho, rhod, qc, qcd
+
+    return AuxiliarySolution(tg[::2].copy(), rho_g, rhod_g, qc_g, qcd_g)
+
+
+def assert_bit_identical(a, b):
+    for field in ("times", "rho", "rho_dot", "qc", "qc_dot"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
 class TestTrapFromClassical:
@@ -64,18 +143,62 @@ class TestSolveAuxiliary:
         ratio = endpoint_error(1000) / endpoint_error(2000)
         assert 8 < ratio < 32  # fourth order: 16x per halving, within a factor 2
 
-    def test_integrator_failure_is_reported(self, params):
-        # wildly under-resolved stiff squeeze drives the width negative
+    @pytest.mark.parametrize("factor, step, message", [
+        # wildly under-resolved stiff squeeze: rho**3 overflows ...
+        pytest.param(100, 20, r"integration blew up \(.+\) at t=4\.000000e-07 s",
+                     id="blow-up"),
+        # ... or, less under-resolved, the width is driven negative
+        pytest.param(30, 6, r"width factor rho became nonpositive at t=1\.200000e-07 s",
+                     id="rho-nonpositive"),
+    ])
+    def test_integrator_failure_is_reported(self, params, factor, step, message):
         trap = TrapTrajectory(lambda t: np.zeros_like(t))
         with pytest.raises(IntegrationError) as err:
-            solve_auxiliary(params, constant_omega(100 * params.omega0), trap, 100)
-        assert err.value.time > 0
+            solve_auxiliary(params, constant_omega(factor * params.omega0), trap, 100)
+        assert re.fullmatch(message, str(err.value))
+        assert err.value.time == step * (params.duration / 100)
 
     def test_nonpositive_frequency_rejected(self, params):
         trap = TrapTrajectory(lambda t: np.zeros_like(t))
         with pytest.raises(ValueError, match="positive"):
             solve_auxiliary(params, lambda t: params.omega0 * np.cos(
                 2 * np.pi * t / params.duration), trap, 500)
+
+    def test_nan_frequency_rejected_before_stepping(self, params):
+        # a NaN in Omega(t) must not surface as a rho failure later on
+        trap = TrapTrajectory(lambda t: np.zeros_like(t))
+        omega = lambda t: np.where(t > params.duration / 2, np.nan, params.omega0)
+        with pytest.raises(ValueError) as err:
+            solve_auxiliary(params, omega, trap, 1000)
+        assert str(err.value) == ("omega_of_t must stay positive and finite on [0, T]; "
+                                  "first violation at t=1.001000e-06 s")
+
+    def test_nan_trap_path_rejected_before_stepping(self, params):
+        # a NaN in Q(t) would otherwise give a silently NaN trajectory
+        trap = TrapTrajectory(lambda t: np.where(t > params.duration / 2, np.nan, 0.0))
+        with pytest.raises(ValueError) as err:
+            solve_auxiliary(params, constant_omega(params.omega0), trap, 1000)
+        assert str(err.value) == ("trap path must stay finite on [0, T]; "
+                                  "first violation at t=1.001000e-06 s")
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(n_steps=st.integers(100, 3000), ratio=st.floats(0.1, 4.0),
+           amplitude=st.floats(0.0, 0.05))
+    def test_bit_identical_to_indexed_loop(self, n_steps, ratio, amplitude):
+        params = PhysicalParams(mass=1.455e-25, omega0=2 * np.pi * 4e6,
+                                distance=50e-6, duration=2e-6)
+        pert = Perturbation.frequency_sine(ratio * params.omega0, amplitude)
+        omega = perturbed_frequency(params, pert)
+        trap = trap_from_classical(Polynomial5(params), params)
+        assert_bit_identical(solve_auxiliary(params, omega, trap, n_steps),
+                             reference_solve_auxiliary(params, omega, trap, n_steps))
+
+    def test_bit_identical_to_indexed_loop_position_error(self, params):
+        pert = Perturbation.position_sine(2 * np.pi * 3e6, 0.01)
+        omega = perturbed_frequency(params, None)
+        trap = shifted_trap(trap_from_classical(Polynomial5(params), params), pert, params)
+        assert_bit_identical(solve_auxiliary(params, omega, trap, 2500),
+                             reference_solve_auxiliary(params, omega, trap, 2500))
 
 
 class TestExactEnergy:
