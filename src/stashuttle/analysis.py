@@ -18,6 +18,7 @@ from .dynamics import TrapTrajectory
 from .model import PhysicalParams, Polynomial5
 from .quadrature import adaptive_quad, oscillation_panels
 
+CORRIDOR_MIN_SAMPLES = 1000  # fewest samples of a trap path in a corridor check or cost
 POLE_GUARD = 1e-6  # relative half-width of the excluded band around each pole
 
 
@@ -152,8 +153,8 @@ def corridor_check(trap: TrapTrajectory, params: PhysicalParams,
     Samples a uniform closed grid; the symmetric grid preserves the edge
     symmetry of the polynomial protocol's overshoot.
     """
-    if n_samples < 1000:
-        raise ValueError("n_samples >= 1000 required")
+    if n_samples < CORRIDOR_MIN_SAMPLES:
+        raise ValueError(f"n_samples >= {CORRIDOR_MIN_SAMPLES} required")
     t = np.linspace(0.0, params.duration, n_samples)
     Q = np.asarray(trap(t), dtype=float)
     above = float(max(np.max(Q) - params.distance, 0.0))

@@ -20,15 +20,15 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .analysis import (PoleError, corridor_check, envelope_dynamical,
-                       envelope_static)
+from .analysis import (CORRIDOR_MIN_SAMPLES, PoleError, corridor_check,
+                       envelope_dynamical, envelope_static)
 from .design import (DesignConstraints, DesignError, design_aux_multi,
                      design_aux_single, design_fourier, target_integral)
 from .dynamics import (IntegrationError, excess_energy_exact,
                        trap_from_classical)
 from .model import Perturbation, PhysicalParams, Polynomial5, validate
-from .optimize import (CORRIDOR_MIN_SAMPLES, OCT_MIN_STEPS, GaConfig,
-                       SingularSystemError, corridor_cost, ga_minimize, oct_solve)
+from .optimize import (OCT_MIN_STEPS, GaConfig, SingularSystemError,
+                       corridor_cost, ga_minimize, oct_solve)
 from .perturbation import lane_blocks, second_order_energy_freq, sine_lanes
 from .quadrature import QuadratureError
 

@@ -58,14 +58,10 @@ def trap_from_classical(proto: Protocol, params: PhysicalParams) -> TrapTrajecto
     """Inverse-engineered ideal trap path for constant trap frequency.
 
     Q0(t) = q(t) + q''(t)/omega0^2, which drives the given classical
-    trajectory exactly when the frequency stays at omega0.
+    trajectory exactly when the frequency stays at omega0.  omega0 is read
+    from the protocol's own parameters, which `params` must match.
     """
-    w2 = params.omega0**2
-
-    def fn(t):
-        return proto.position(t) + proto.acceleration(t) / w2
-
-    return TrapTrajectory(fn, ideal=True)
+    return TrapTrajectory(proto.trap_path, ideal=True)
 
 
 def shifted_trap(trap: TrapTrajectory, pert: Perturbation,

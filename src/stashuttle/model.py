@@ -20,6 +20,18 @@ HBAR = 1.054571817e-34  # J*s
 AMPLITUDE_CAP = 0.2       # hard cap on the dimensionless perturbation amplitude
 AMPLITUDE_WARN = 0.05     # above this, second-order theory degrades noticeably
 
+# Elements of one row block of a batched evaluation: 16384 float64 are 128 KiB,
+# 8 rows of 2001 samples.  glibc's default mmap threshold is 128 KiB, so
+# temporaries of this size are reused from the heap instead of being mapped
+# and page-faulted anew for every block.
+BLOCK_ELEMENTS = 1 << 14
+
+
+def row_blocks(rows: int, row_elements: int):
+    """Slices over `rows` rows, each of at most BLOCK_ELEMENTS elements (one row at least)."""
+    step = max(1, BLOCK_ELEMENTS // max(row_elements, 1))
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -244,6 +256,10 @@ class Protocol(ABC):
     def acceleration(self, t):
         ...
 
+    def trap_path(self, t):
+        """Ideal trap path q(t) + q''(t)/omega0^2 for constant trap frequency."""
+        return self.position(t) + self.acceleration(t) / self.params.omega0**2
+
     def boundary_report(self, rtol: float = 1e-10) -> BoundaryReport:
         """Residuals of the six transport boundary conditions, scaled checks included."""
         p = self.params
@@ -337,6 +353,32 @@ class FourierSineProtocol(Protocol):
         coef = self.coefficients * T / jpi**2
         terms = np.multiply.outer(jpi, t) - T * np.sin(arg)
         return _series(coef, terms)
+
+    def trap_path(self, t):
+        """position(t) + acceleration(t)/omega0^2 from one shared sine basis.
+
+        The bits are those of the two evaluators, which build the same
+        argument.  A coefficient matrix is evaluated in row blocks of at most
+        BLOCK_ELEMENTS elements into one output array.
+        """
+        T = self.params.duration
+        t = np.asarray(t, dtype=float)
+        jpi = self._j * np.pi
+        sines = np.sin(np.multiply.outer(jpi / T, t))
+        terms = np.multiply.outer(jpi, t) - T * sines
+        coef = self.coefficients
+        cpos = coef * T / jpi**2
+        w2 = self.params.omega0**2
+        if coef.ndim == 1:
+            return _series(cpos, terms) + _series(coef, sines) / w2
+        coef = coef.reshape(-1, coef.shape[-1])
+        cpos = cpos.reshape(coef.shape)
+        out = np.empty((len(coef),) + t.shape)
+        for block in row_blocks(len(coef), t.size):
+            acc = _series(coef[block], sines)
+            acc /= w2
+            np.add(_series(cpos[block], terms), acc, out=out[block])
+        return out.reshape(self.coefficients.shape[:-1] + t.shape)
 
 
 class PolynomialTrajectory(Protocol):

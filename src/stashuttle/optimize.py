@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import CORRIDOR_MIN_SAMPLES
 from .design import AnsatzSystem, DesignError
 from .dynamics import TrapTrajectory, perturbed_frequency, trap_from_classical
 from .model import (FourierSineProtocol, Perturbation, PhysicalParams,
-                    Protocol, ProtocolKind, eval_perturbation)
+                    Protocol, ProtocolKind, eval_perturbation, row_blocks)
 
 __all__ = [
     "GaConfig", "GaResult", "OctSolution", "SingularSystemError",
@@ -26,7 +27,6 @@ __all__ = [
 ]
 
 
-CORRIDOR_MIN_SAMPLES = 1000   # fewest samples of the trap path in corridor_cost
 OCT_MIN_STEPS = 2000          # fewest output-grid intervals of oct_solve
 
 
@@ -45,19 +45,22 @@ def corridor_cost(trap: TrapTrajectory, params: PhysicalParams,
     if n_samples < CORRIDOR_MIN_SAMPLES:
         raise ValueError(f"n_samples >= {CORRIDOR_MIN_SAMPLES} required")
     t = np.linspace(0.0, params.duration, n_samples)
+    dt = np.diff(t)
     Q = np.asarray(trap(t), dtype=float)
+    rows = Q.reshape(-1, n_samples)
+    cost = np.empty(len(rows))
     # |Q - clip(Q, 0, d)| is the excursion and the trapezoid rule follows
-    # np.trapezoid step by step, in place: a population batch holds at most
-    # two (rows, samples) arrays
-    excess = np.clip(Q, 0.0, params.distance)
-    np.subtract(Q, excess, out=excess)
-    np.abs(excess, out=excess)
-    del Q
-    panels = excess[..., 1:] + excess[..., :-1]
-    del excess
-    panels *= np.diff(t)
-    panels /= 2.0
-    cost = panels.sum(axis=-1)
+    # np.trapezoid step by step, one row block of at most BLOCK_ELEMENTS
+    # samples at a time, so every temporary is reused from the heap
+    for block in row_blocks(len(rows), n_samples):
+        excess = np.clip(rows[block], 0.0, params.distance)
+        np.subtract(rows[block], excess, out=excess)
+        np.abs(excess, out=excess)
+        panels = excess[:, 1:] + excess[:, :-1]
+        panels *= dt
+        panels /= 2.0
+        cost[block] = panels.sum(axis=-1)
+    cost = cost.reshape(Q.shape[:-1])
     return float(cost) if cost.ndim == 0 else cost
 
 

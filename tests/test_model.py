@@ -114,6 +114,28 @@ class TestProtocols:
             v = np.trapezoid(proto.acceleration(grid), grid)
             assert proto.velocity(t) == pytest.approx(v, rel=1e-7, abs=1e-12)
 
+    @pytest.mark.parametrize("rows", [13, 64])
+    @pytest.mark.parametrize("samples", [1000, 2001, 16384, 16385])
+    def test_fourier_trap_path_blocks_bit_identical(self, params, rows, samples):
+        # 13 and 64 rows leave a partial last block; from 16384 samples on a
+        # block holds one row
+        coef = np.random.default_rng(rows + samples).normal(0.0, 1e8, (rows, 8))
+        t = np.linspace(0.0, params.duration, samples)
+        Q = FourierSineProtocol(params, coef).trap_path(t)
+        assert Q.shape == (rows, samples)
+        w2 = params.omega0**2
+        for k in range(rows):
+            row = FourierSineProtocol(params, coef[k])
+            assert np.array_equal(Q[k], row.position(t) + row.acceleration(t) / w2)
+
+    def test_fourier_trap_path_of_one_vector_is_one_row(self, params):
+        proto = FourierSineProtocol(params, [1e7, -3e6, 2e6, 5e5])
+        t = np.linspace(0.0, params.duration, 2001)
+        Q = proto.trap_path(t)
+        assert Q.shape == t.shape
+        assert np.array_equal(
+            Q, proto.position(t) + proto.acceleration(t) / params.omega0**2)
+
     def test_tabulated_protocol_roundtrip(self, params):
         ref = Polynomial5(params)
         t = np.linspace(0, params.duration, 201)

@@ -1,11 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stashuttle import (DesignConstraints, DesignError, GaConfig, Perturbation,
-                        Polynomial5, TrapTrajectory, avg_dynamical_potential,
-                        corridor_cost, design_fourier, ga_minimize,
+from stashuttle import (DesignConstraints, DesignError, FourierSineProtocol,
+                        GaConfig, Perturbation, Polynomial5, TrapTrajectory,
+                        avg_dynamical_potential, corridor_cost, design_fourier, ga_minimize,
                         nullspace_parametrize, oct_solve, trap_from_classical)
 from stashuttle.design import assemble_system
 from stashuttle.dynamics import solve_auxiliary
@@ -49,7 +50,40 @@ class TestCorridorCost:
             row = TrapTrajectory(lambda t: scales[k] * base(t) + offsets[k])
             single = corridor_cost(row, params)
             assert isinstance(single, float)
-            assert costs[k] == pytest.approx(single, rel=1e-14, abs=0.0)
+            assert costs[k] == single
+
+    @pytest.mark.parametrize("samples", [1001, 2001, 20001])
+    def test_random_population_matches_rows(self, params, samples):
+        # 64 rows of sine-series paths around the corridor, in partial and
+        # one-row blocks
+        coef = np.random.default_rng(samples).normal(0.0, 1e8, (64, 8))
+        costs = corridor_cost(
+            trap_from_classical(FourierSineProtocol(params, coef), params),
+            params, samples)
+        assert costs.shape == (64,) and np.count_nonzero(costs) > 32
+        for k in range(64):
+            row = trap_from_classical(FourierSineProtocol(params, coef[k]), params)
+            assert costs[k] == corridor_cost(row, params, samples)
+
+    def test_population_working_set(self, params):
+        # a population's trap path is built and costed in row blocks, so
+        # neither step holds much more than the (rows, samples) path itself
+        coef = np.random.default_rng(3).normal(0.0, 1e8, (64, 8))
+        t = np.linspace(0.0, params.duration, 2001)
+        trap = trap_from_classical(FourierSineProtocol(params, coef), params)
+        Q = trap(t)
+        population = TrapTrajectory(lambda _: Q)
+        tracemalloc.start()
+        try:
+            corridor_cost(population, params)
+            _, cost_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            trap(t)
+            _, path_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cost_peak < Q.nbytes
+        assert path_peak < 2 * Q.nbytes
 
 
 class TestNullspace:
