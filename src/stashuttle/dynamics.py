@@ -61,6 +61,9 @@ def trap_from_classical(proto: Protocol, params: PhysicalParams) -> TrapTrajecto
     trajectory exactly when the frequency stays at omega0.  omega0 is read
     from the protocol's own parameters, which `params` must match.
     """
+    if params.omega0 != proto.params.omega0:
+        raise ValueError(f"params.omega0 = {params.omega0!r} differs from the "
+                         f"protocol's omega0 = {proto.params.omega0!r}")
     return TrapTrajectory(proto.trap_path, ideal=True)
 
 

@@ -20,11 +20,12 @@ HBAR = 1.054571817e-34  # J*s
 AMPLITUDE_CAP = 0.2       # hard cap on the dimensionless perturbation amplitude
 AMPLITUDE_WARN = 0.05     # above this, second-order theory degrades noticeably
 
-# Elements of one row block of a batched evaluation: 16384 float64 are 128 KiB,
-# 8 rows of 2001 samples.  glibc's default mmap threshold is 128 KiB, so
-# temporaries of this size are reused from the heap instead of being mapped
-# and page-faulted anew for every block.
-BLOCK_ELEMENTS = 1 << 14
+# Elements of one row block of a batched evaluation: 8 rows of 2001 samples.
+# glibc maps a request whose padded size reaches its default mmap threshold
+# of 128 KiB, so a block stays 64 float64 short of 1 << 14: its temporaries
+# are reused from the heap instead of being mapped and page-faulted anew for
+# every block, also at a sample count that divides 1 << 14.
+BLOCK_ELEMENTS = (1 << 14) - 64
 
 
 def row_blocks(rows: int, row_elements: int):
@@ -358,8 +359,9 @@ class FourierSineProtocol(Protocol):
         """position(t) + acceleration(t)/omega0^2 from one shared sine basis.
 
         The bits are those of the two evaluators, which build the same
-        argument.  A coefficient matrix is evaluated in row blocks of at most
-        BLOCK_ELEMENTS elements into one output array.
+        argument.  The coefficient rows are evaluated in row blocks of at
+        most BLOCK_ELEMENTS elements into one output array; a single vector
+        is one row.
         """
         T = self.params.duration
         t = np.asarray(t, dtype=float)
@@ -369,8 +371,6 @@ class FourierSineProtocol(Protocol):
         coef = self.coefficients
         cpos = coef * T / jpi**2
         w2 = self.params.omega0**2
-        if coef.ndim == 1:
-            return _series(cpos, terms) + _series(coef, sines) / w2
         coef = coef.reshape(-1, coef.shape[-1])
         cpos = cpos.reshape(coef.shape)
         out = np.empty((len(coef),) + t.shape)

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,6 +101,14 @@ class TestTrapFromClassical:
         assert trap(T) == pytest.approx(d, rel=1e-12)
         # acceleration vanishes mid-transport, so Q0(T/2) = q(T/2) = d/2
         assert trap(T / 2) == pytest.approx(d / 2, rel=1e-12)
+
+    def test_params_must_match_protocol_omega0(self, params):
+        # the trap path takes omega0 from the protocol, so other params are refused
+        other = replace(params, omega0=2 * params.omega0)
+        with pytest.raises(ValueError, match="omega0"):
+            trap_from_classical(Polynomial5(params), other)
+        trap = trap_from_classical(Polynomial5(params), replace(params, distance=1e-3))
+        assert trap(params.duration) == pytest.approx(params.distance, rel=1e-12)
 
 
 class TestSolveAuxiliary:
