@@ -2,7 +2,7 @@
 
 The package covers the full pipeline: perturbative excitation theory (second
 order, with static/dynamical decomposition and Fourier forms), an exact
-Runge-Kutta oracle for the auxiliary width and trajectory equations,
+monodromy oracle for the auxiliary width and trajectory equations,
 closed-form envelope analysis, robust trajectory designers, and two
 optimizers (genetic corridor search, optimal-control extremal).
 """
@@ -17,8 +17,8 @@ from .design import (AnsatzSystem, AuxFunctionSpec, DesignConstraints,
                      DesignError, design_aux_multi, design_aux_single,
                      design_fourier, mode_overlap_integral, target_integral)
 from .dynamics import (AuxiliarySolution, IntegrationError, TrapTrajectory,
-                       energy_profile, exact_energy, excess_energy_exact,
-                       shifted_trap, solve_auxiliary, trap_from_classical)
+                       exact_energy, excess_energy_exact, shifted_trap,
+                       solve_auxiliary, trap_from_classical)
 from .model import (EnergyQuanta, FourierSineProtocol, Perturbation,
                     PerturbationKind, PhysicalParams, Polynomial5,
                     PolynomialTrajectory, Protocol, ProtocolKind,

@@ -1,20 +1,25 @@
-"""Exact integration of the auxiliary width and trajectory equations.
+"""Exact propagation of the auxiliary width and trajectory equations.
 
-This module is the non-perturbative oracle: it integrates
+This module is the non-perturbative oracle for
 
     rho'' + Omega^2(t) rho = Omega0^2 / rho^3
     q''   + Omega^2(t) q   = Omega^2(t) Q(t)
 
-with a fixed-step classical Runge-Kutta 4 scheme and evaluates the exact
-final energy from the endpoint values.  Fixed stepping keeps every output
-bit-reproducible for a given step count.
+The width equation is nonlinear, but rho^2 = u1^2 + u2^2 for two solutions
+of the linear u'' + Omega^2(t) u = 0 (Lewis & Riesenfeld, J. Math. Phys. 10,
+1458 (1969)), and q is affine in the same equation.  One map of (u, u', 1)
+over [0, T] therefore gives every endpoint value, and the exact final energy
+follows from them.  The map is a product of fixed commutator-free 4th-order
+Magnus steps (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006)), multiplied
+in blocks with a few numpy calls and checked at run time against half the
+step count.  Fixed stepping keeps every output bit-reproducible for a given
+step count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -22,10 +27,25 @@ from .model import (EnergyQuanta, Perturbation, PhysicalParams, Protocol,
                     eval_perturbation)
 
 DEFAULT_STEPS = 20000
+# steps multiplied as one tree: 8192 Gauss nodes, 64 KiB per float64 array,
+# below glibc's 128 KiB mmap threshold, so block temporaries are not mapped
+# and faulted in anew
+BLOCK_STEPS = 4096
+# largest endpoint change allowed when the step count is halved
+HALVING_TOL = 1e-8
+# times of the two Gauss-Legendre nodes of each step of a block, in steps
+# from the block start, and the weights of the commutator-free 4th-order
+# Magnus step (Blanes & Moan 2006)
+_NODE_OFFSETS = np.add.outer(np.arange(float(BLOCK_STEPS)),
+                             [0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0]).ravel()
+_CF4_LARGE = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
+_CF4_SMALL = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
+# maps left when the tree product goes over to floats
+_FLOAT_TAIL = 16
 
 
 class IntegrationError(RuntimeError):
-    """The width variable left the physical domain (integrator failure)."""
+    """The exact propagator failed a resolution check (integrator failure)."""
 
     def __init__(self, message: str, time: float):
         super().__init__(f"{message} at t={time:.6e} s")
@@ -34,7 +54,10 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class AuxiliarySolution:
-    """Grids of the auxiliary variables over the transport window."""
+    """The auxiliary variables on a uniform grid over [0, T].
+
+    `solve_auxiliary` returns only the two points t = 0 and t = T.
+    """
 
     times: np.ndarray     # uniform, [0, T]
     rho: np.ndarray       # dimensionless width factor
@@ -86,89 +109,124 @@ def _reject_first(bad: np.ndarray, tg: np.ndarray, what: str) -> None:
         raise ValueError(f"{what}; first violation at t={tg[int(np.argmax(bad))]:.6e} s")
 
 
+def _flow(a: np.ndarray, b: np.ndarray, tau: float) -> tuple:
+    """exp(tau*[[0, 1, 0], [-a, 0, b], [0, 0, 0]]) for a > 0, entrywise.
+
+    It is the flow of u'' = b - a*u over tau, a rotation about the
+    equilibrium b/a, in the (a, b, c, d, e, f) entries of `_compose`.
+    """
+    k = np.sqrt(a)
+    cos = np.cos(k * tau)
+    ksin = k * np.sin(k * tau)
+    x = b / a
+    return cos, ksin / a, -ksin, cos, x * (1.0 - cos), x * ksin
+
+
+def _compose(left: tuple, right: tuple) -> tuple:
+    """left @ right for affine maps [[a, b, e], [c, d, f], [0, 0, 1]] of (u, u', 1).
+
+    Each map is the tuple (a, b, c, d, e, f) of arrays or floats.
+    """
+    la, lb, lc, ld, le, lf = left
+    ra, rb, rc, rd, re, rf = right
+    return (la * ra + lb * rc, la * rb + lb * rd,
+            lc * ra + ld * rc, lc * rb + ld * rd,
+            la * re + lb * rf + le, lc * re + ld * rf + lf)
+
+
+def _ordered_product(maps: tuple, total: tuple) -> tuple:
+    """maps[m-1] @ ... @ maps[0] @ total, where `total` is a tuple of floats.
+
+    Pairs of neighbours are multiplied as whole arrays until few maps are
+    left; the rest are multiplied one by one in floats, which is cheaper
+    than a numpy call on a handful of elements.
+    """
+    # maps set aside at odd lengths; each is later than all still in `maps`
+    later = []
+    while maps[0].size > _FLOAT_TAIL:
+        if maps[0].size % 2:
+            later.append(tuple(float(x[-1]) for x in maps))
+            maps = tuple(x[:-1] for x in maps)
+        maps = _compose(tuple(x[1::2] for x in maps), tuple(x[0::2] for x in maps))
+    for step in [*zip(*(x.tolist() for x in maps)), *reversed(later)]:
+        total = _compose(step, total)
+    return total
+
+
+def _monodromy(params: PhysicalParams, omega_of_t, trap: TrapTrajectory,
+               n_steps: int) -> tuple:
+    """Map of (u, u', 1) from 0 to T under u'' + Omega^2 u = Omega^2 Q, in CF4 steps.
+
+    Each step multiplies two closed-form exponentials built from Omega^2 and
+    Omega^2 Q at its two Gauss nodes (Blanes & Moan's commutator-free 4th
+    order Magnus method).  The steps of a block of at most BLOCK_STEPS are
+    multiplied as a tree; the blocks are composed in time order.
+    """
+    h = params.duration / n_steps
+    total = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+    for first in range(0, n_steps, BLOCK_STEPS):
+        count = min(BLOCK_STEPS, n_steps - first)
+        tg = h * (first + _NODE_OFFSETS[:2 * count])
+        om = np.asarray(omega_of_t(tg), dtype=float)
+        _reject_first(~(np.isfinite(om) & (om > 0.0)), tg,
+                      "omega_of_t must stay positive and finite on [0, T]")
+        Q = np.asarray(trap(tg), dtype=float)
+        _reject_first(~np.isfinite(Q), tg, "trap path must stay finite on [0, T]")
+        a = om * om
+        b = a * Q
+        # the step's first exponential leans on its first node, the second on
+        # its second; each spans h/2 of the stiffness 2*(weighted Omega^2)
+        a_first = 2.0 * (_CF4_LARGE * a[0::2] + _CF4_SMALL * a[1::2])
+        a_second = 2.0 * (_CF4_SMALL * a[0::2] + _CF4_LARGE * a[1::2])
+        # _CF4_SMALL < 0, so a node-to-node jump in Omega^2 by more than about
+        # 14x makes an exponent nonpositive; this also catches an overflow
+        bad = ~((np.minimum(a_first, a_second) > 0.0)
+                & (np.maximum(a_first, a_second) < math.inf))
+        if bad.any():
+            raise IntegrationError("CF4 exponent became nonpositive: Omega(t) is "
+                                   "under-resolved in the step",
+                                   h * (first + int(np.argmax(bad))))
+        steps = _compose(
+            _flow(a_second, 2.0 * (_CF4_SMALL * b[0::2] + _CF4_LARGE * b[1::2]), h / 2),
+            _flow(a_first, 2.0 * (_CF4_LARGE * b[0::2] + _CF4_SMALL * b[1::2]), h / 2))
+        total = _ordered_product(steps, total)
+    return total
+
+
 def solve_auxiliary(params: PhysicalParams, omega_of_t, trap: TrapTrajectory,
                     n_steps: int = DEFAULT_STEPS) -> AuxiliarySolution:
-    """Fixed-step RK4 solution over [0, duration] from the rest initial conditions.
+    """Endpoint values of the width and trajectory at T from the rest initial conditions.
+
+    The result holds the two points t = 0 and t = T.  rho^2 = u1^2 + u2^2,
+    where u1 and u2 solve u'' + Omega^2 u = 0 with u1(0) = 1, u1'(0) = 0,
+    u2(0) = 0 and u2'(0) = omega0; the trajectory rides in the same map.
 
     `omega_of_t` must accept ndarray arguments and stay positive and finite
     on the window, and `trap` must stay finite; otherwise ValueError names
-    the first bad time.  Doubling `n_steps` should move the endpoint values
-    by less than 1e-8 relative; that convergence contract substitutes for
-    step control.
+    the first bad Gauss-node time.  The map is also propagated in
+    n_steps // 2 steps.  If that moves an endpoint entry by more than
+    HALVING_TOL (u and u2 relative to 1, u' and u2' to omega0, qc to the
+    distance d, qc' to d*omega0), or if a step exponent is not positive,
+    IntegrationError is raised.
     """
     if n_steps < 100:
         raise ValueError("n_steps >= 100 required")
-    T = params.duration
-    h = T / n_steps
-    # stage times of classic RK4 live on the half-step grid, so the whole
-    # time dependence can be evaluated vectorized up front
-    tg = np.linspace(0.0, T, 2 * n_steps + 1)
-    # a NaN here would end in a misleading rho failure or a silent NaN energy
-    om = np.asarray(omega_of_t(tg), dtype=float)
-    _reject_first(~(np.isfinite(om) & (om > 0.0)), tg,
-                  "omega_of_t must stay positive and finite on [0, T]")
-    Q = np.asarray(trap(tg), dtype=float)
-    _reject_first(~np.isfinite(Q), tg, "trap path must stay finite on [0, T]")
-    om2 = om ** 2
-    om2_l = om2.tolist()
-    forc_l = (om2 * Q).tolist()
-    w0sq = params.omega0**2
-
-    grids = [np.empty(n_steps + 1) for _ in range(4)]
-    # memoryviews store a Python float into the numpy grids at half the cost
-    # of ndarray indexing
-    rho_g, rhod_g, qc_g, qcd_g = map(memoryview, grids)
-    rho, rhod, qc, qcd = 1.0, 0.0, 0.0, 0.0
-    rho_g[0], rhod_g[0], qc_g[0], qcd_g[0] = rho, rhod, qc, qcd
-
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    # step idx takes Omega^2 and the forcing at its start (a0, b0), midpoint
-    # (a1, b1) and end (a2, b2): half-step samples 2*idx - 2, 2*idx - 1, 2*idx
-    samples = zip(range(1, n_steps + 1),
-                  islice(om2_l, 0, None, 2), islice(om2_l, 1, None, 2),
-                  islice(om2_l, 2, None, 2), islice(forc_l, 0, None, 2),
-                  islice(forc_l, 1, None, 2), islice(forc_l, 2, None, 2))
-    for idx, a0, a1, a2, b0, b1, b2 in samples:
-        try:
-            k1r = rhod
-            k1s = w0sq / rho**3 - a0 * rho
-            k1q = qcd
-            k1p = b0 - a0 * qc
-
-            r = rho + h2 * k1r
-            k2r = rhod + h2 * k1s
-            k2s = w0sq / r**3 - a1 * r
-            q = qc + h2 * k1q
-            k2q = qcd + h2 * k1p
-            k2p = b1 - a1 * q
-
-            r = rho + h2 * k2r
-            k3r = rhod + h2 * k2s
-            k3s = w0sq / r**3 - a1 * r
-            q = qc + h2 * k2q
-            k3q = qcd + h2 * k2p
-            k3p = b1 - a1 * q
-
-            r = rho + h * k3r
-            k4r = rhod + h * k3s
-            k4s = w0sq / r**3 - a2 * r
-            q = qc + h * k3q
-            k4q = qcd + h * k3p
-            k4p = b2 - a2 * q
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise IntegrationError(f"integration blew up ({exc})", idx * h) from None
-
-        rho = rho + h6 * (k1r + 2.0 * (k2r + k3r) + k4r)
-        rhod = rhod + h6 * (k1s + 2.0 * (k2s + k3s) + k4s)
-        qc = qc + h6 * (k1q + 2.0 * (k2q + k3q) + k4q)
-        qcd = qcd + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
-        # rejects nonpositive, NaN and +inf
-        if not 0.0 < rho < math.inf:
-            raise IntegrationError("width factor rho became nonpositive", idx * h)
-        rho_g[idx], rhod_g[idx], qc_g[idx], qcd_g[idx] = rho, rhod, qc, qcd
-
-    return AuxiliarySolution(tg[::2].copy(), *grids)
+    T, w0, d = params.duration, params.omega0, params.distance
+    fine = _monodromy(params, omega_of_t, trap, n_steps)
+    coarse = _monodromy(params, omega_of_t, trap, n_steps // 2)
+    scales = (1.0, 1.0 / w0, w0, 1.0, d, d * w0)
+    # np.max keeps a NaN, and the negated test fails on it
+    change = float(np.max(np.abs(np.subtract(fine, coarse)) / scales))
+    if not change <= HALVING_TOL:
+        raise IntegrationError(f"halving the step count moved the endpoint by "
+                               f"{change:.1e} (limit {HALVING_TOL:.0e})", T)
+    u1, b, u1_dot, d_entry, qc, qc_dot = fine
+    u2, u2_dot = w0 * b, w0 * d_entry
+    rho = math.hypot(u1, u2)
+    rho_dot = (u1 * u1_dot + u2 * u2_dot) / rho
+    return AuxiliarySolution(np.array([0.0, T]), np.array([1.0, rho]),
+                             np.array([0.0, rho_dot]), np.array([0.0, qc]),
+                             np.array([0.0, qc_dot]))
 
 
 def exact_energy(sol: AuxiliarySolution, params: PhysicalParams,
@@ -186,18 +244,6 @@ def exact_energy(sol: AuxiliarySolution, params: PhysicalParams,
               + hbar / (4.0 * w0) * (2 * n + 1)
               * (rhod**2 + w0**2 / rho**2 + omega_T**2 * rho**2))
     return EnergyQuanta(params.to_quanta(energy), n)
-
-
-def energy_profile(sol: AuxiliarySolution, params: PhysicalParams,
-                   omega_of_t, trap: TrapTrajectory, n: int = 0) -> np.ndarray:
-    """Exact energy (quanta) evaluated at every stored grid point."""
-    om = np.asarray(omega_of_t(sol.times), dtype=float)
-    Q = np.asarray(trap(sol.times), dtype=float)
-    m, w0, hbar = params.mass, params.omega0, params.hbar
-    energy = (0.5 * m * om**2 * (sol.qc - Q)**2 + 0.5 * m * sol.qc_dot**2
-              + hbar / (4.0 * w0) * (2 * n + 1)
-              * (sol.rho_dot**2 + w0**2 / sol.rho**2 + om**2 * sol.rho**2))
-    return energy / params.energy_quantum
 
 
 def perturbed_frequency(params: PhysicalParams, pert: Perturbation | None):

@@ -237,6 +237,20 @@ class TestVerify:
                                            Perturbation.frequency_sine(omega, 0.01))
             assert row[2] == _fmt(0.01**2 * one.total_quanta)
 
+    def test_under_resolved_point_exits_3(self, tmp_path, capsys):
+        # 1000 MHz at one step per cycle leaves the oracle at its 4000-step
+        # floor, about one step per perturbation cycle
+        config = base_config(scan={"variable": "omega", "points": 1,
+                                   "min": {"value": 1000.0, "unit": "two_pi_mhz"}},
+                             steps_per_cycle=1)
+        code, out, captured = run(tmp_path, capsys, "verify", config)
+        assert code == 3 and not out.exists()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["kind"] == "numerical"
+        assert error["message"].startswith("halving the step count moved the endpoint")
+
     def test_large_amplitude_rejected(self, tmp_path, capsys):
         config = base_config(scan={"variable": "duration", "points": 2,
                                    "min": {"value": 1.0, "unit": "us"},

@@ -1,16 +1,21 @@
+import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stashuttle import (AuxiliarySolution, IntegrationError, Perturbation,
-                        PhysicalParams, Polynomial5, TrapTrajectory,
-                        energy_profile, exact_energy, excess_energy_exact,
-                        shifted_trap, solve_auxiliary, trap_from_classical)
-from stashuttle.dynamics import perturbed_frequency
+                        PhysicalParams, Polynomial5, TrapTrajectory, dynamics,
+                        exact_energy, excess_energy_exact, shifted_trap,
+                        solve_auxiliary, trap_from_classical)
+from stashuttle.cli import main
+from stashuttle.dynamics import _monodromy, perturbed_frequency
 from stashuttle.perturbation import second_order_energy_freq
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples_config"
 
 
 def constant_omega(w):
@@ -18,10 +23,10 @@ def constant_omega(w):
 
 
 def reference_solve_auxiliary(params, omega_of_t, trap, n_steps):
-    """Indexed form of the RK4 step loop of `solve_auxiliary`, kept verbatim.
+    """Fixed-step classical RK4 of the width and trajectory equations, with grids.
 
-    The package's loop takes its samples from iterators and stores through
-    memoryviews; it must give the same floats, bit for bit, as this one.
+    It steps the nonlinear width equation itself and shares no method with
+    the CF4 monodromy of `solve_auxiliary`, so their agreement checks both.
     """
     T = params.duration
     h = T / n_steps
@@ -88,9 +93,28 @@ def reference_solve_auxiliary(params, omega_of_t, trap, n_steps):
     return AuxiliarySolution(tg[::2].copy(), rho_g, rhod_g, qc_g, qcd_g)
 
 
-def assert_bit_identical(a, b):
-    for field in ("times", "rho", "rho_dot", "qc", "qc_dot"):
-        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+def energy_profile(sol, params, omega_of_t, trap, n=0):
+    """Exact energy (quanta) at every grid point of a reference solution."""
+    om = np.asarray(omega_of_t(sol.times), dtype=float)
+    Q = np.asarray(trap(sol.times), dtype=float)
+    m, w0, hbar = params.mass, params.omega0, params.hbar
+    energy = (0.5 * m * om**2 * (sol.qc - Q)**2 + 0.5 * m * sol.qc_dot**2
+              + hbar / (4.0 * w0) * (2 * n + 1)
+              * (sol.rho_dot**2 + w0**2 / sol.rho**2 + om**2 * sol.rho**2))
+    return energy / params.energy_quantum
+
+
+def map_error(params, entries, reference):
+    """Summed endpoint difference of two monodromy maps, in the contract's scales."""
+    w0, d = params.omega0, params.distance
+    scales = (1.0, 1.0 / w0, w0, 1.0, d, d * w0)
+    return sum(abs(x - y) / s for x, y, s in zip(entries, reference, scales))
+
+
+def total_energy(solve, params, omega, trap, n_steps):
+    sol = solve(params, omega, trap, n_steps)
+    T = params.duration
+    return exact_energy(sol, params, float(omega(T)), float(trap(T))).value
 
 
 class TestTrapFromClassical:
@@ -125,7 +149,7 @@ class TestSolveAuxiliary:
     def test_roundtrip_reproduces_designed_trajectory(self, params):
         proto = Polynomial5(params)
         trap = trap_from_classical(proto, params)
-        sol = solve_auxiliary(params, constant_omega(params.omega0), trap, 20000)
+        sol = reference_solve_auxiliary(params, constant_omega(params.omega0), trap, 20000)
         expected = proto.position(sol.times)
         assert np.max(np.abs(sol.qc - expected)) <= 1e-8 * params.distance
 
@@ -143,13 +167,22 @@ class TestSolveAuxiliary:
         pert = Perturbation.frequency_sine(2 * np.pi * 6e6, 0.01)
         omega = perturbed_frequency(params, pert)
         trap = trap_from_classical(Polynomial5(params), params)
-        ref = solve_auxiliary(params, omega, trap, 40000)
+        ref = reference_solve_auxiliary(params, omega, trap, 40000)
 
         def endpoint_error(n):
-            s = solve_auxiliary(params, omega, trap, n)
+            s = reference_solve_auxiliary(params, omega, trap, n)
             return abs(s.qc[-1] - ref.qc[-1]) + params.distance * abs(s.rho[-1] - ref.rho[-1])
 
         ratio = endpoint_error(1000) / endpoint_error(2000)
+        assert 8 < ratio < 32  # fourth order: 16x per halving, within a factor 2
+
+    def test_cf4_order(self, params):
+        pert = Perturbation.frequency_sine(2 * np.pi * 6e6, 0.01)
+        omega = perturbed_frequency(params, pert)
+        trap = trap_from_classical(Polynomial5(params), params)
+        ref = _monodromy(params, omega, trap, 40000)
+        ratio = (map_error(params, _monodromy(params, omega, trap, 1000), ref)
+                 / map_error(params, _monodromy(params, omega, trap, 2000), ref))
         assert 8 < ratio < 32  # fourth order: 16x per halving, within a factor 2
 
     @pytest.mark.parametrize("factor, step, message", [
@@ -163,7 +196,8 @@ class TestSolveAuxiliary:
     def test_integrator_failure_is_reported(self, params, factor, step, message):
         trap = TrapTrajectory(lambda t: np.zeros_like(t))
         with pytest.raises(IntegrationError) as err:
-            solve_auxiliary(params, constant_omega(factor * params.omega0), trap, 100)
+            reference_solve_auxiliary(params, constant_omega(factor * params.omega0),
+                                      trap, 100)
         assert re.fullmatch(message, str(err.value))
         assert err.value.time == step * (params.duration / 100)
 
@@ -179,8 +213,9 @@ class TestSolveAuxiliary:
         omega = lambda t: np.where(t > params.duration / 2, np.nan, params.omega0)
         with pytest.raises(ValueError) as err:
             solve_auxiliary(params, omega, trap, 1000)
+        # the first Gauss node after T/2, in the step that starts there
         assert str(err.value) == ("omega_of_t must stay positive and finite on [0, T]; "
-                                  "first violation at t=1.001000e-06 s")
+                                  "first violation at t=1.000423e-06 s")
 
     def test_nan_trap_path_rejected_before_stepping(self, params):
         # a NaN in Q(t) would otherwise give a silently NaN trajectory
@@ -188,26 +223,64 @@ class TestSolveAuxiliary:
         with pytest.raises(ValueError) as err:
             solve_auxiliary(params, constant_omega(params.omega0), trap, 1000)
         assert str(err.value) == ("trap path must stay finite on [0, T]; "
-                                  "first violation at t=1.001000e-06 s")
+                                  "first violation at t=1.000423e-06 s")
 
-    @settings(derandomize=True, max_examples=20, deadline=None)
-    @given(n_steps=st.integers(100, 3000), ratio=st.floats(0.1, 4.0),
-           amplitude=st.floats(0.0, 0.05))
-    def test_bit_identical_to_indexed_loop(self, n_steps, ratio, amplitude):
+    def test_under_resolved_input_fails_halving_contract(self, params):
+        # 1000 MHz at the 4000-step floor: about one step per cycle
+        pert = Perturbation.frequency_sine(2 * np.pi * 1e9, 0.01)
+        trap = trap_from_classical(Polynomial5(params), params)
+        with pytest.raises(IntegrationError) as err:
+            solve_auxiliary(params, perturbed_frequency(params, pert), trap, 4000)
+        assert re.fullmatch(r"halving the step count moved the endpoint by \S+ "
+                            r"\(limit 1e-08\) at t=2\.000000e-06 s", str(err.value))
+
+    def test_nonpositive_exponent_is_reported(self, params):
+        # Omega jumps 10x between the Gauss nodes of the step at T/2, so the
+        # first exponent of that step has a negative stiffness
+        h = params.duration / 100
+        omega = lambda t: np.where(t < params.duration / 2 + h / 2,
+                                   params.omega0, 10 * params.omega0)
+        trap = TrapTrajectory(lambda t: np.zeros_like(t))
+        with pytest.raises(IntegrationError, match="exponent became nonpositive") as err:
+            solve_auxiliary(params, omega, trap, 100)
+        assert err.value.time == pytest.approx(params.duration / 2)
+
+    @pytest.mark.parametrize("kind", ["frequency_sine", "position_sine"])
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(ratio=st.floats(0.1, 4.0), amplitude=st.floats(0.0, 0.05),
+           steps_per_cycle=st.integers(400, 600))
+    def test_agrees_with_rk4(self, kind, ratio, amplitude, steps_per_cycle):
+        # the RK4 runs 4x the steps: near omega = 2*omega0 it is the less
+        # accurate of the two at equal steps
         params = PhysicalParams(mass=1.455e-25, omega0=2 * np.pi * 4e6,
                                 distance=50e-6, duration=2e-6)
-        pert = Perturbation.frequency_sine(ratio * params.omega0, amplitude)
-        omega = perturbed_frequency(params, pert)
+        pert = getattr(Perturbation, kind)(ratio * params.omega0, amplitude)
         trap = trap_from_classical(Polynomial5(params), params)
-        assert_bit_identical(solve_auxiliary(params, omega, trap, n_steps),
-                             reference_solve_auxiliary(params, omega, trap, n_steps))
+        if pert.is_position:
+            omega, trap = perturbed_frequency(params, None), shifted_trap(trap, pert, params)
+        else:
+            omega = perturbed_frequency(params, pert)
+        cycles = params.duration * params.omega0 * max(2.0, ratio) / (2 * np.pi)
+        n_steps = max(4000, int(steps_per_cycle * cycles))
+        exact = total_energy(solve_auxiliary, params, omega, trap, n_steps)
+        reference = total_energy(reference_solve_auxiliary, params, omega, trap, 4 * n_steps)
+        assert exact == pytest.approx(reference, rel=1e-8)
 
-    def test_bit_identical_to_indexed_loop_position_error(self, params):
-        pert = Perturbation.position_sine(2 * np.pi * 3e6, 0.01)
-        omega = perturbed_frequency(params, None)
-        trap = shifted_trap(trap_from_classical(Polynomial5(params), params), pert, params)
-        assert_bit_identical(solve_auxiliary(params, omega, trap, 2500),
-                             reference_solve_auxiliary(params, omega, trap, 2500))
+    def test_agrees_with_rk4_on_verify_axis(self, tmp_path, monkeypatch):
+        config = str(EXAMPLES / "verify_omega.json")
+
+        def exact_column(name):
+            out = tmp_path / name
+            assert main(["verify", "--config", config, "--out", str(out)]) == 0
+            lines = [line for line in out.read_text().splitlines()
+                     if not line.startswith("#")][1:]
+            return np.array([float(line.split(",")[1]) for line in lines])
+
+        exact = exact_column("cf4.csv")
+        monkeypatch.setattr(dynamics, "solve_auxiliary", reference_solve_auxiliary)
+        reference = exact_column("rk4.csv")
+        assert len(exact) == json.loads(Path(config).read_text())["scan"]["points"]
+        assert np.max(np.abs(exact - reference)) <= 1e-8 * np.max(np.abs(reference))
 
 
 class TestExactEnergy:
@@ -238,7 +311,7 @@ class TestExactEnergy:
         # constant (detuned) frequency and a fixed trap center: <H> is conserved
         omega = constant_omega(1.3 * params.omega0)
         trap = TrapTrajectory(lambda t: params.distance * np.ones_like(t))
-        sol = solve_auxiliary(params, omega, trap, 20000)
+        sol = reference_solve_auxiliary(params, omega, trap, 20000)
         profile = energy_profile(sol, params, omega, trap, n=0)
         assert np.max(np.abs(profile - profile[0])) <= 1e-8 * abs(profile[0])
 

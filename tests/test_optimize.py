@@ -9,9 +9,9 @@ from stashuttle import (DesignConstraints, DesignError, FourierSineProtocol,
                         avg_dynamical_potential, corridor_cost, design_fourier, ga_minimize,
                         nullspace_parametrize, oct_solve, trap_from_classical)
 from stashuttle.design import assemble_system
-from stashuttle.dynamics import solve_auxiliary
 from stashuttle.optimize import (_control_basis, _driven_oscillators, _extremal_states,
                                  _grid_sums)
+from test_dynamics import reference_solve_auxiliary
 
 TWO_PI = 2 * np.pi
 
@@ -230,13 +230,13 @@ class TestOctSolve:
                                rtol=1e-10, atol=1e-12 * params.distance)
 
     def test_oracle_follows_extremal_trap_path(self, params):
-        # the RK4 oracle driven by the extremal's trap path at constant omega0
-        # reproduces the quadrature states and comes to rest at d
+        # the reference RK4 driven by the extremal's trap path at constant
+        # omega0 reproduces the quadrature states and comes to rest at d
         sol = oct_solve(params, TWO_PI * 5e6, n_steps=4000)
         trap = sol.trap_trajectory()
         w0 = lambda t: params.omega0 * np.ones_like(t)
-        coarse = solve_auxiliary(params, w0, trap, 4000)
-        fine = solve_auxiliary(params, w0, trap, 8000)
+        coarse = reference_solve_auxiliary(params, w0, trap, 4000)
+        fine = reference_solve_auxiliary(params, w0, trap, 8000)
         dq = np.max(np.abs(coarse.qc - fine.qc[::2]))
         dv = np.max(np.abs(coarse.qc_dot - fine.qc_dot[::2]))
         assert np.max(np.abs(coarse.qc - sol.x[0])) <= 10 * dq
