@@ -215,8 +215,8 @@ def _second_order(params: PhysicalParams, omega: float, variable: str, values,
     """Static and dynamical quanta per amplitude^2 at every point of a scan axis.
 
     Points that share their PhysicalParams form one group: an omega axis is
-    one group, evaluated in lane blocks, and a duration axis one group per
-    point, evaluated as one lane.
+    one group, evaluated in lane blocks that share one scratch, and a
+    duration axis one group per point, evaluated as one lane.
     """
     if variable == "omega":
         groups = [(params, values)]
@@ -224,9 +224,9 @@ def _second_order(params: PhysicalParams, omega: float, variable: str, values,
         groups = [(_at(params, omega, variable, v)[0], np.array([omega])) for v in values]
     static, dynamical = [], []
     for p, omegas in groups:
-        proto = Polynomial5(p)
+        proto, lanes = Polynomial5(p), sine_lanes(omegas)
         for block in lane_blocks(p, omegas):
-            report = second_order_energy_freq(p, proto, sine_lanes(omegas[block]), level)
+            report = second_order_energy_freq(p, proto, lanes[block], level)
             static.append(report.static_quanta)
             dynamical.append(report.dynamical_quanta)
     return np.concatenate(static), np.concatenate(dynamical)
@@ -298,14 +298,19 @@ def cmd_verify(config: dict, out: str, seed: int | None) -> int:
 def _design_protocol(config: dict, params: PhysicalParams):
     node = _field(config, "design", "design", dict)
     method = _choice(node, "method", "design.method", ("fourier", "aux"))
-    targets = tuple(_quantity(t, _FREQ_UNITS, "design.targets[]")
-                    for t in _field(node, "targets", "design.targets", list))
+    targets = tuple(_quantity(t, _FREQ_UNITS, f"design.targets[{k}]")
+                    for k, t in enumerate(_field(node, "targets", "design.targets", list)))
     if not targets:
         raise ConfigError("design.targets must list at least one frequency")
     if method == "aux":
         proto = (design_aux_single(params, targets[0]) if len(targets) == 1
                  else design_aux_multi(params, targets))
         return proto, None, targets
+    if 0.0 in targets:
+        # the imaginary part of I(omega) vanishes for every path at omega = 0,
+        # which leaves an all-zero row in the constraint system
+        raise ConfigError(f"design.targets[{targets.index(0.0)}] must be nonzero "
+                          "for method 'fourier'")
     constraints = DesignConstraints(
         targets=targets,
         omega_derivatives=_integer(node, "omega_derivatives", "design.omega_derivatives",

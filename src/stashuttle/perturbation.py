@@ -8,6 +8,7 @@ agreement is the main internal consistency check of the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,59 @@ def _as_function(f):
     if isinstance(f, Perturbation):
         return (lambda t: eval_perturbation(f, t)), f
     return f, None
+
+
+class _Scratch:
+    """Float64 buffers and grid-only factors shared by the lane blocks of one axis.
+
+    A buffer is allocated once and grown only when a call needs more, so the
+    blocks of an axis do not map and fault their arrays anew.  A factor is
+    kept per key and grid, and used only for a grid equal to the one it was
+    computed on.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+        self._factors = {}
+
+    def buffer(self, name: str, shape: tuple) -> np.ndarray:
+        """Uninitialised float64 array of `shape` in the buffer `name`."""
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+    def factor(self, key: tuple, grid: np.ndarray, compute) -> np.ndarray:
+        """compute(grid), read-only, remembered under `key` and the nodes of `grid`."""
+        key += (grid.size,)
+        entry = self._factors.get(key)
+        if entry is None or not np.array_equal(entry[0], grid):
+            values = np.array(compute(grid))  # a read-only copy for every block
+            values.flags.writeable = False
+            entry = self._factors[key] = (grid.copy(), values)
+        return entry[1]
+
+
+class SineLanes:
+    """f(t) = sin(omega*t) for each of `omegas`, shape (lanes, *t.shape).
+
+    `lanes[block]` is the block of lanes `omegas[block]`.  All slices share
+    one `_Scratch`: the values a call returns live in its buffer and are
+    overwritten by the next call of any slice.
+    """
+
+    def __init__(self, omegas: np.ndarray, scratch: _Scratch):
+        self.omegas = omegas
+        self.scratch = scratch
+
+    def __getitem__(self, block) -> "SineLanes":
+        return SineLanes(self.omegas[block], self.scratch)
+
+    def __call__(self, t) -> np.ndarray:
+        out = self.scratch.buffer("lanes", self.omegas.shape + np.shape(t))
+        np.multiply.outer(self.omegas, t, out=out)
+        return np.sin(out, out=out)
 
 
 def _first_panels(freq: float, w0: float, t: float) -> int:
@@ -61,13 +115,17 @@ class FirstOrderSolution:
 
     (and the cosine kernels for the derivatives) by adaptive Gauss-Legendre
     quadrature at 1e-10 relative tolerance.  When `f(t)` returns shape
-    (*lanes, *t.shape), every evaluator returns the lane shape.
+    (*lanes, *t.shape), every evaluator returns the lane shape.  A `SineLanes`
+    `f` lends the scratch of its axis; any other `f` gets a scratch of its own.
     """
 
     def __init__(self, params: PhysicalParams, proto: Protocol, f):
         self.params = params
         self.proto = proto
         self._f, _ = _as_function(f)
+        # lane values live in the scratch of their axis and may be overwritten
+        self._owns_values = isinstance(f, SineLanes)
+        self._scratch = f.scratch if self._owns_values else _Scratch()
 
     def _conv(self, t: float, freq: float, weight, kernels=_KERNELS) -> np.ndarray:
         """int_0^t weight(t') k[freq (t-t')] dt' for each k of `kernels`.
@@ -76,14 +134,20 @@ class FirstOrderSolution:
         a single evaluation of the weight, each element converging on its own.
         """
         panels = _first_panels(freq, self.params.omega0, t)
+        scratch = self._scratch
+
+        def rows(tp):
+            return [kernel(freq * (t - tp)) for kernel in kernels]
 
         def integrand(tp):
+            kernel_rows = scratch.factor(("kernels", freq, t, kernels), tp, rows)
             w = weight(tp)
-            phase = freq * (t - tp)
+            shape, dtype = (len(kernels),) + np.shape(w), np.result_type(w, 1.0)
             # filled in place: in a block of lanes the stack is the largest array
-            out = np.empty((len(kernels),) + np.shape(w), np.result_type(w, 1.0))
-            for row, kernel in zip(out, kernels):
-                np.multiply(w, kernel(phase), out=row)
+            out = (scratch.buffer("stack", shape) if dtype == np.float64
+                   else np.empty(shape, dtype))
+            for row, kernel_row in zip(out, kernel_rows):
+                np.multiply(w, kernel_row, out=row)
             return out
 
         return np.real(adaptive_quad(integrand, 0.0, t, RTOL, panels))
@@ -96,7 +160,10 @@ class FirstOrderSolution:
         return [scale[k] * v for k, v in zip(kernels, values)]
 
     def _weight_q(self, tp):
-        return self._f(tp) * self.proto.acceleration(tp)
+        accel = self._scratch.factor(("acceleration", self.proto), tp,
+                                     self.proto.acceleration)
+        w = self._f(tp)
+        return np.multiply(w, accel, out=w if self._owns_values else None)
 
     def _qc1_parts(self, t: float, kernels=_KERNELS) -> list:
         """qc1 from the sin kernel and qc1_dot from the cos kernel, in `kernels` order."""
@@ -130,7 +197,8 @@ def second_order_energy_freq(params: PhysicalParams, proto: Protocol, f,
     sol = FirstOrderSolution(params, proto, f)
     T = params.duration
     w0, m = params.omega0, params.mass
-    fT = np.asarray(sol._f(T), dtype=float)
+    # a copy: lane values live in a buffer that the quadratures overwrite
+    fT = np.array(sol._f(T), dtype=float)
     q1, q1d = sol._qc1_parts(T)
     r1, r1d = sol._rho1_parts(T)
     # squares go through C pow (np.float_power), which Python's float ** also
@@ -143,10 +211,13 @@ def second_order_energy_freq(params: PhysicalParams, proto: Protocol, f,
     return ExcitationReport(stat / eq, dyn / eq, level=n)
 
 
-def sine_lanes(omegas):
-    """f(t) = sin(omega*t) for each of `omegas`, shape (lanes, *t.shape)."""
-    omegas = np.asarray(omegas, dtype=float)
-    return lambda t: np.sin(np.multiply.outer(omegas, t))
+def sine_lanes(omegas) -> SineLanes:
+    """f(t) = sin(omega*t) for each of `omegas`, shape (lanes, *t.shape).
+
+    Slice it with the blocks of `lane_blocks` to evaluate one axis block by
+    block in one shared scratch.
+    """
+    return SineLanes(np.asarray(omegas, dtype=float), _Scratch())
 
 
 def _estimated_panels(params: PhysicalParams, omega: float) -> int:

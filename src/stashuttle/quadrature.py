@@ -23,6 +23,8 @@ __all__ = [
 
 PANEL_ORDER = 16
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(PANEL_ORDER)
+# integrand values `_panel_sum` weights in place; others are copied first
+_OWNED_TYPES = (np.dtype(np.float64), np.dtype(np.complex128))
 
 
 class QuadratureError(RuntimeError):
@@ -39,10 +41,19 @@ def _panel_sum(f, a: float, b: float, n_panels: int):
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     t = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
-    ft = np.asarray(f(t))
-    # the scale first, so that |f| is freed before the weighted copy is made
-    scale = np.max(np.abs(ft), axis=-1)
-    panels = ft.reshape(ft.shape[:-1] + (n_panels, PANEL_ORDER)) * _WEIGHTS
+    ft = f(t)
+    if not (isinstance(ft, np.ndarray) and ft.dtype in _OWNED_TYPES
+            and ft.flags.writeable and ft.flags.c_contiguous):
+        # the values the weighted product would have: same bits, our own copy
+        ft = np.asarray(ft)
+        ft = ft.astype(np.result_type(ft, _WEIGHTS), order="C")
+    if ft.dtype.kind == "f":
+        scale = np.maximum(ft.max(axis=-1), -ft.min(axis=-1))
+    else:
+        scale = np.max(np.abs(ft), axis=-1)
+    # weighted in place: in a block of lanes these are the largest arrays
+    panels = ft.reshape(ft.shape[:-1] + (n_panels, PANEL_ORDER))
+    np.multiply(panels, _WEIGHTS, out=panels)
     panels *= half[:, None]
     return np.sum(panels, axis=(-2, -1)), scale
 
@@ -65,6 +76,11 @@ def adaptive_quad(f, a: float, b: float, rtol: float = 1e-10,
     values), keeping the value of its own first converged doubling, and the
     result has the lane shape.  The call raises if any element fails, with
     the worst achieved change.  A 1-D integrand gives a scalar.
+
+    The call owns the array ``f(t)`` returns and weights it in place, so an
+    integrand returns a fresh array or a scratch buffer it overwrites on its
+    next call, never values it still needs.  A read-only, non-contiguous or
+    not float64/complex128 result is copied first, with the same bits.
     """
     if b == a:
         return np.zeros(np.shape(f(np.empty(0)))[:-1])[()]

@@ -291,6 +291,26 @@ class TestDesign:
         assert float(echoed["abs_I_target_0"]) < bound
         assert float(echoed["abs_I_target_1"]) < bound
 
+    def test_zero_fourier_target_is_config_error(self, tmp_path, capsys, recwarn):
+        config = base_config(design={"method": "fourier",
+                                     "targets": [{"value": 5.0, "unit": "two_pi_mhz"},
+                                                 {"value": 0.0, "unit": "two_pi_mhz"}]})
+        code, out, captured = run(tmp_path, capsys, "design", config)
+        assert code == 2
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "design.targets[1]" in json.loads(lines[0])["error"]["message"]
+        assert not recwarn.list and not out.exists()
+
+    @pytest.mark.parametrize("method, targets", [("aux", [5.0, 0.0]),
+                                                 ("fourier", [-5.0])])
+    def test_zero_aux_and_negative_targets_still_design(self, tmp_path, capsys,
+                                                         method, targets):
+        config = base_config(design={"method": method, "targets": [
+            {"value": v, "unit": "two_pi_mhz"} for v in targets]})
+        code, _, captured = run(tmp_path, capsys, "design", config)
+        assert code == 0 and captured.err == ""
+
     def test_underdetermined_request(self, tmp_path, capsys):
         config = base_config(design={"method": "fourier",
                                      "targets": [{"value": 5.0, "unit": "two_pi_mhz"}],

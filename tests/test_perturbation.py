@@ -94,26 +94,87 @@ class TestSecondOrderFrequency:
             assert r.total_quanta == r.static_quanta + r.dynamical_quanta
 
 
+def blocked_report(params, proto, lanes, omegas, n=0):
+    """Static and dynamical quanta of an axis, block by block as the CLI runs it."""
+    reports = [second_order_energy_freq(params, proto, lanes[block], n)
+               for block in lane_blocks(params, omegas)]
+    return (np.concatenate([r.static_quanta for r in reports]),
+            np.concatenate([r.dynamical_quanta for r in reports]))
+
+
+def assert_one_point_calls(params, proto, omegas, static, dynamical, n=0):
+    for k, omega in enumerate(omegas):
+        one = second_order_energy_freq(params, proto,
+                                       Perturbation.frequency_sine(omega, 0.01), n)
+        assert static[k] == one.static_quanta
+        assert dynamical[k] == one.dynamical_quanta
+
+
 class TestLanes:
     def test_lanes_match_one_point_calls(self, params):
+        # one block, then an axis whose blocks share a scratch up to the fast
+        # end, where every block holds one lane: each lane equals its own call
         proto = Polynomial5(params)
-        omegas = np.array([0.3, 1.0, 1.7, 2.0, 2.6, 3.9]) * params.omega0
-        lanes = second_order_energy_freq(params, proto, sine_lanes(omegas), n=1)
-        for k, omega in enumerate(omegas):
-            one = second_order_energy_freq(params, proto,
-                                           Perturbation.frequency_sine(omega, 0.01), n=1)
-            assert lanes.static_quanta[k] == one.static_quanta
-            assert lanes.dynamical_quanta[k] == one.dynamical_quanta
+        for ratios, one_lane_blocks in [([0.3, 1.0, 1.7, 2.0, 2.6, 3.9], False),
+                                        (np.linspace(0.1, 200.0, 24), True)]:
+            omegas = np.array(ratios) * params.omega0
+            widths = [b.stop - b.start for b in lane_blocks(params, omegas)]
+            assert (widths[-1] == 1) == one_lane_blocks and max(widths) > 1
+            static, dynamical = blocked_report(params, proto, sine_lanes(omegas), omegas,
+                                               n=1)
+            assert_one_point_calls(params, proto, omegas, static, dynamical, n=1)
+
+    def test_slices_share_one_scratch(self, params):
+        omegas = np.arange(1.0, 7.0) * params.omega0
+        lanes = sine_lanes(omegas)
+        t = np.linspace(0.0, params.duration, 64)
+        # the wider block first: the buffer it allocates then serves the narrower
+        tail, head = lanes[2:](t), lanes[:2](t)
+        assert np.shares_memory(head, tail)
+        assert np.array_equal(head, np.sin(np.multiply.outer(omegas[:2], t)))
+
+    def test_report_survives_later_blocks(self, params):
+        # a report must not alias the lane buffer that later blocks overwrite,
+        # f(T) included
+        proto = Polynomial5(params)
+        omegas = np.array([0.5, 1.5, 2.5, 60.0]) * params.omega0
+        lanes = sine_lanes(omegas)
+        report = second_order_energy_freq(params, proto, lanes[:3])
+        static, dynamical = report.static_quanta.copy(), report.dynamical_quanta.copy()
+        second_order_energy_freq(params, proto, lanes[3:])
+        lanes(np.linspace(0.0, params.duration, 4096))
+        assert np.array_equal(report.static_quanta, static)
+        assert np.array_equal(report.dynamical_quanta, dynamical)
+        assert_one_point_calls(params, proto, omegas[:3], static, dynamical)
+
+    def test_one_scratch_serves_other_params_and_protocols(self, params):
+        # grid factors are keyed by grid and protocol: a second trap, duration
+        # or trajectory on the same lanes gets its own one-point answers
+        omegas = np.array([0.4, 1.1, 2.3, 3.5]) * params.omega0
+        lanes = sine_lanes(omegas)
+        longer = PhysicalParams(mass=params.mass, omega0=params.omega0,
+                                distance=params.distance, duration=1.5 * params.duration)
+        farther = PhysicalParams(mass=params.mass, omega0=params.omega0,
+                                 distance=3.0 * params.distance, duration=params.duration)
+        cases = [(params, Polynomial5(params)), (longer, Polynomial5(longer)),
+                 (farther, Polynomial5(farther)),
+                 (params, FourierSineProtocol(params, endpoint_constrained_coeffs(params, 0))),
+                 (params, Polynomial5(params))]
+        for p, proto in cases:
+            static, dynamical = blocked_report(p, proto, lanes, omegas)
+            assert_one_point_calls(p, proto, omegas, static, dynamical)
 
     def test_first_order_evaluators_take_lanes(self, params):
         omegas = np.array([0.7, 2.2]) * params.omega0
         lanes = FirstOrderSolution(params, Polynomial5(params), sine_lanes(omegas))
-        t = 0.6 * params.duration
-        for k, omega in enumerate(omegas):
-            one = FirstOrderSolution(params, Polynomial5(params),
-                                     Perturbation.frequency_sine(omega, 0.01))
-            for name in ("rho1", "rho1_dot", "qc1", "qc1_dot"):
-                assert getattr(lanes, name)(t)[k] == getattr(one, name)(t)
+        # two nearby times integrate on grids of the same size but other nodes,
+        # so a grid factor of the one must not serve the other
+        for t in (0.6 * params.duration, 0.5999 * params.duration):
+            for k, omega in enumerate(omegas):
+                one = FirstOrderSolution(params, Polynomial5(params),
+                                         Perturbation.frequency_sine(omega, 0.01))
+                for name in ("rho1", "rho1_dot", "qc1", "qc1_dot"):
+                    assert getattr(lanes, name)(t)[k] == getattr(one, name)(t)
         assert not lanes.rho1(0.0).any() and lanes.qc1_dot(0.0).shape == (2,)
 
     def test_one_evaluator_integrates_one_kernel(self, params, monkeypatch):

@@ -126,3 +126,24 @@ def test_one_non_converging_lane_raises():
 def test_zero_width_interval_keeps_lane_shape():
     got = adaptive_quad(lambda t: np.ones((2, 3) + np.shape(t)), 1.0, 1.0)
     assert got.shape == (2, 3) and not got.any()
+
+
+# -- ownership: adaptive_quad weights the integrand's array in place ----------
+
+@pytest.mark.parametrize("f, dtype, rtol", [
+    (lambda t: np.broadcast_to(np.sin(5.0 * t), (3, t.size)), np.float64, 1e-10),
+    (lambda t: np.full((2, t.size), [[3], [-7]]), np.float64, 1e-10),
+    (lambda t: np.exp(np.sin(7.0 * t)).astype(np.float32), np.float64, 1e-5),
+    (lambda t: t, np.float64, 1e-10),
+    (lambda t: np.exp(1j * np.multiply.outer(t, [3.0, 9.0])).T, np.complex128, 1e-10),
+], ids=["read-only", "integer", "float32", "own-grid", "complex-stack"])
+def test_integrand_array_is_taken_over_with_the_same_bits(f, dtype, rtol):
+    # a result the call may not weight in place is copied first; every case
+    # equals the same integrand returning a fresh contiguous copy
+    def fresh(t):
+        return np.array(f(t), dtype=dtype, order="C")
+
+    got = np.asarray(adaptive_quad(f, 0.0, 1.5, rtol))
+    want = np.asarray(adaptive_quad(fresh, 0.0, 1.5, rtol))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
