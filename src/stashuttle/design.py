@@ -241,6 +241,9 @@ def assemble_system(params: PhysicalParams, constraints: DesignConstraints) -> A
     matrix = np.vstack(rows)
     rhs = np.asarray(rhs, dtype=float)
     norms = np.linalg.norm(matrix, axis=1)
+    for label, norm in zip(labels, norms):
+        if not norm > 0.0:
+            raise DesignError(f"constraint row {label} is zero: it cannot be normalised")
     return AnsatzSystem(params, constraints, matrix / norms[:, None], rhs / norms, labels)
 
 

@@ -24,7 +24,10 @@ LANE_NODES = 1 << 15
 # rad of a lane's phase on one 16-node panel at which a doubling agrees to
 # RTOL: 14-18 rad measured on lanes of 0.5-800 MHz in a 4 MHz trap over 2 us
 PANEL_PHASE = 16.0
-_KERNELS = (np.sin, np.cos)
+# kernel rows of the first-order responses: name -> (kernel, its frequency in
+# units of omega0, weighted by the trap acceleration)
+_ROWS = {"qc1": (np.sin, 1.0, True), "qc1_dot": (np.cos, 1.0, True),
+         "rho1": (np.sin, 2.0, False), "rho1_dot": (np.cos, 2.0, False)}
 
 
 def _as_function(f):
@@ -38,13 +41,14 @@ class _Scratch:
     """Float64 buffers and grid-only factors shared by the lane blocks of one axis.
 
     A buffer is allocated once and grown only when a call needs more, so the
-    blocks of an axis do not map and fault their arrays anew.  A factor is
-    kept per key and grid, and used only for a grid equal to the one it was
-    computed on.
+    blocks of an axis do not map and fault their arrays anew.  Factors are
+    kept for the latest key only, one per grid, and used only for a grid
+    equal to the one they were computed on.
     """
 
     def __init__(self):
         self._buffers = {}
+        self._key = None
         self._factors = {}
 
     def buffer(self, name: str, shape: tuple) -> np.ndarray:
@@ -56,13 +60,17 @@ class _Scratch:
         return buf[:size].reshape(shape)
 
     def factor(self, key: tuple, grid: np.ndarray, compute) -> np.ndarray:
-        """compute(grid), read-only, remembered under `key` and the nodes of `grid`."""
-        key += (grid.size,)
-        entry = self._factors.get(key)
+        """compute(grid), read-only, remembered under `key` and the nodes of `grid`.
+
+        A new key drops the factors of the previous one.
+        """
+        if key != self._key:
+            self._key, self._factors = key, {}
+        entry = self._factors.get(grid.size)
         if entry is None or not np.array_equal(entry[0], grid):
             values = np.array(compute(grid))  # a read-only copy for every block
             values.flags.writeable = False
-            entry = self._factors[key] = (grid.copy(), values)
+            entry = self._factors[grid.size] = (grid.copy(), values)
         return entry[1]
 
 
@@ -123,66 +131,53 @@ class FirstOrderSolution:
         self.params = params
         self.proto = proto
         self._f, _ = _as_function(f)
-        # lane values live in the scratch of their axis and may be overwritten
-        self._owns_values = isinstance(f, SineLanes)
-        self._scratch = f.scratch if self._owns_values else _Scratch()
+        self._scratch = f.scratch if isinstance(f, SineLanes) else _Scratch()
 
-    def _conv(self, t: float, freq: float, weight, kernels=_KERNELS) -> np.ndarray:
-        """int_0^t weight(t') k[freq (t-t')] dt' for each k of `kernels`.
+    def _conv(self, t: float, names: tuple) -> list:
+        """The responses `names` (keys of _ROWS) at `t`, each of the lane shape.
 
-        Shape (len(kernels), *lanes).  The kernels integrate as one stack from
-        a single evaluation of the weight, each element converging on its own.
+        The kernel rows integrate as one stack f(t') x rows(t') on the grid
+        chain of the stack's highest kernel frequency, each element
+        converging on its own.  For a given `t` and protocol the rows depend
+        on the grid only, so the scratch keeps them.
         """
-        panels = _first_panels(freq, self.params.omega0, t)
+        w0 = self.params.omega0
+        panels = _first_panels(max(_ROWS[name][1] for name in names) * w0, w0, t)
         scratch = self._scratch
 
         def rows(tp):
-            return [kernel(freq * (t - tp)) for kernel in kernels]
-
-        def integrand(tp):
-            kernel_rows = scratch.factor(("kernels", freq, t, kernels), tp, rows)
-            w = weight(tp)
-            shape, dtype = (len(kernels),) + np.shape(w), np.result_type(w, 1.0)
-            # filled in place: in a block of lanes the stack is the largest array
-            out = (scratch.buffer("stack", shape) if dtype == np.float64
-                   else np.empty(shape, dtype))
-            for row, kernel_row in zip(out, kernel_rows):
-                np.multiply(w, kernel_row, out=row)
+            out = np.empty((len(names), tp.size))
+            for row, name in zip(out, names):
+                kernel, freq, accelerated = _ROWS[name]
+                kernel(freq * w0 * (t - tp), out=row)
+                if accelerated:
+                    row *= self.proto.acceleration(tp)
             return out
 
-        return np.real(adaptive_quad(integrand, 0.0, t, RTOL, panels))
+        def integrand(tp):
+            kernel_rows = scratch.factor((self.proto, w0, t, names), tp, rows)
+            w = np.asarray(self._f(tp))[..., None, :]
+            shape = w.shape[:-2] + kernel_rows.shape
+            # filled in place: in a block of lanes the stack is the largest array
+            out = (scratch.buffer("stack", shape)
+                   if np.result_type(w, kernel_rows) == np.float64 else None)
+            return np.multiply(w, kernel_rows, out=out)
 
-    def _rho1_parts(self, t: float, kernels=_KERNELS) -> list:
-        """rho1 from the sin kernel and rho1_dot from the cos kernel, in `kernels` order."""
-        w0 = self.params.omega0
-        scale = {np.sin: -w0, np.cos: -2.0 * w0**2}
-        values = self._conv(t, 2.0 * w0, self._f, kernels)
-        return [scale[k] * v for k, v in zip(kernels, values)]
-
-    def _weight_q(self, tp):
-        accel = self._scratch.factor(("acceleration", self.proto), tp,
-                                     self.proto.acceleration)
-        w = self._f(tp)
-        return np.multiply(w, accel, out=w if self._owns_values else None)
-
-    def _qc1_parts(self, t: float, kernels=_KERNELS) -> list:
-        """qc1 from the sin kernel and qc1_dot from the cos kernel, in `kernels` order."""
-        w0 = self.params.omega0
-        scale = {np.sin: 2.0 / w0, np.cos: 2.0}
-        values = self._conv(t, w0, self._weight_q, kernels)
-        return [scale[k] * v for k, v in zip(kernels, values)]
+        values = np.real(adaptive_quad(integrand, 0.0, t, RTOL, panels))
+        scale = {"qc1": 2.0 / w0, "qc1_dot": 2.0, "rho1": -w0, "rho1_dot": -2.0 * w0**2}
+        return [scale[name] * values[..., k] for k, name in enumerate(names)]
 
     def rho1(self, t: float):
-        return self._rho1_parts(t, (np.sin,))[0]
+        return self._conv(t, ("rho1",))[0]
 
     def rho1_dot(self, t: float):
-        return self._rho1_parts(t, (np.cos,))[0]
+        return self._conv(t, ("rho1_dot",))[0]
 
     def qc1(self, t: float):
-        return self._qc1_parts(t, (np.sin,))[0]
+        return self._conv(t, ("qc1",))[0]
 
     def qc1_dot(self, t: float):
-        return self._qc1_parts(t, (np.cos,))[0]
+        return self._conv(t, ("qc1_dot",))[0]
 
 
 def second_order_energy_freq(params: PhysicalParams, proto: Protocol, f,
@@ -197,10 +192,9 @@ def second_order_energy_freq(params: PhysicalParams, proto: Protocol, f,
     sol = FirstOrderSolution(params, proto, f)
     T = params.duration
     w0, m = params.omega0, params.mass
-    # a copy: lane values live in a buffer that the quadratures overwrite
+    # a copy: lane values live in a buffer that the quadrature overwrites
     fT = np.array(sol._f(T), dtype=float)
-    q1, q1d = sol._qc1_parts(T)
-    r1, r1d = sol._rho1_parts(T)
+    q1, q1d, r1, r1d = sol._conv(T, tuple(_ROWS))
     # squares go through C pow (np.float_power), which Python's float ** also
     # calls, so scan CSVs keep their bytes; numpy's ** multiplies instead and
     # rounds about one square in a thousand differently
@@ -221,11 +215,12 @@ def sine_lanes(omegas) -> SineLanes:
 
 
 def _estimated_panels(params: PhysicalParams, omega: float) -> int:
-    """Panels of the finest grid the quadratures of a lane at `omega` should reach.
+    """Panels of the finest grid the quadrature of a lane at `omega` should reach.
 
-    The doubling of the width factor's first grid that puts at most
-    PANEL_PHASE rad of the lane's phase (|omega| + 2 w0) T on one panel,
-    doubled once more by the convergence check.
+    The doubling of the stack's first grid (from its highest kernel
+    frequency, 2 w0) that puts at most PANEL_PHASE rad of the lane's phase
+    (|omega| + 2 w0) T on one panel, doubled once more by the convergence
+    check.
     """
     w0, T = params.omega0, params.duration
     panels = _first_panels(2.0 * w0, w0, T)

@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stashuttle
-from stashuttle import (Perturbation, PhysicalParams, Polynomial5, perturbation,
-                        quadrature)
+from stashuttle import Perturbation, Polynomial5, cli, perturbation, quadrature
 from stashuttle.cli import _fmt, main
 from stashuttle.perturbation import second_order_energy_freq
 
@@ -147,7 +146,8 @@ class TestScan:
         units = {"omega": TWO_PI_MHZ, "duration": 1e-6}[axis["variable"]]
         grid = np.linspace(axis["min"]["value"] * units, axis["max"]["value"] * units,
                            axis["points"])
-        params = PhysicalParams(1.455e-25, 4.0 * TWO_PI_MHZ, 50e-6, 2e-6)
+        # the params as the CLI parses them: 50 um is 4.9999999999999996e-05 m
+        params = cli.parse_params(config)
         rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
         assert len(rows) == axis["points"]
         for value, row in zip(grid.tolist(), rows):
@@ -227,9 +227,11 @@ class TestVerify:
         axis = {"variable": "omega", "points": 5,
                 "min": {"value": 2.0, "unit": "two_pi_mhz"},
                 "max": {"value": 10.0, "unit": "two_pi_mhz"}}
-        code, out, _ = run(tmp_path, capsys, "verify", base_config(scan=axis))
+        config = base_config(scan=axis)
+        code, out, _ = run(tmp_path, capsys, "verify", config)
         assert code == 0
-        params = PhysicalParams(1.455e-25, 4.0 * TWO_PI_MHZ, 50e-6, 2e-6)
+        # the params as the CLI parses them: 50 um is 4.9999999999999996e-05 m
+        params = cli.parse_params(config)
         rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
         grid = np.linspace(2.0 * TWO_PI_MHZ, 10.0 * TWO_PI_MHZ, 5)
         for omega, row in zip(grid.tolist(), rows):

@@ -260,6 +260,12 @@ class TestDesignFourier:
         with pytest.raises(DesignError, match="ill-conditioned"):
             design_fourier(params, DesignConstraints(targets=(omega, omega)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_constraint_row_names_its_label(self, params):
+        # sin(0*t) overlaps nothing: its rows are zero and cannot be normalised
+        with pytest.raises(DesignError, match=r"row Re I\(omega=0\.000000e\+00\) is zero"):
+            design_fourier(params, DesignConstraints(targets=(TWO_PI * 5e6, 0.0)))
+
     def test_minimum_norm_solution_satisfies_constraints(self, params):
         system = assemble_system(params, DesignConstraints(targets=(TWO_PI * 5e6,),
                                                            n_terms=10))

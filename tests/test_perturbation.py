@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,7 +183,9 @@ class TestLanes:
         sol = FirstOrderSolution(params, Polynomial5(params),
                                  Perturbation.frequency_sine(TWO_PI * 6e6, 0.01))
         t = 0.6 * params.duration
-        pairs = {"rho1": sol._rho1_parts(t), "qc1": sol._qc1_parts(t)}
+        # a pair of rows of one kernel frequency runs on the chain of either row
+        pairs = {"rho1": sol._conv(t, ("rho1", "rho1_dot")),
+                 "qc1": sol._conv(t, ("qc1", "qc1_dot"))}
         rows, quad = [], perturbation.adaptive_quad
 
         def counting(f, *args):
@@ -193,10 +197,48 @@ class TestLanes:
             assert getattr(sol, name)(t) == pairs[name.split("_")[0]][k]
         assert rows == [1, 1, 1, 1]
 
+    def test_block_integrates_one_stack_of_four_rows(self, params, monkeypatch):
+        # the four kernels of a block share one quadrature, and its lanes are
+        # evaluated on the first grid, its doubling and at T
+        omegas = np.array([0.3, 1.0, 1.7, 2.0, 2.6, 3.9]) * params.omega0
+        lanes, shapes, grids = sine_lanes(omegas), [], []
+        quad, call = perturbation.adaptive_quad, perturbation.SineLanes.__call__
+
+        def counting_quad(f, *args):
+            result = quad(f, *args)
+            shapes.append(result.shape)
+            return result
+
+        def counting_call(self, t):
+            grids.append(np.size(t))
+            return call(self, t)
+
+        monkeypatch.setattr(perturbation, "adaptive_quad", counting_quad)
+        monkeypatch.setattr(perturbation.SineLanes, "__call__", counting_call)
+        (block,) = lane_blocks(params, omegas)
+        second_order_energy_freq(params, Polynomial5(params), lanes[block])
+        first = PANEL_ORDER * oscillation_panels(4.0 * params.omega0 * params.duration)
+        assert shapes == [(omegas.size, 4)]
+        assert grids == [1, first, 2 * first]
+
+    def test_factor_cache_holds_one_duration(self, params):
+        # a library caller reusing one lanes object over many durations keeps
+        # the grid factors of the latest duration only
+        omegas = np.array([0.5, 2.5]) * params.omega0
+        lanes = sine_lanes(omegas)
+        for duration in np.linspace(1.0, 3.0, 50) * params.duration:
+            p = dataclasses.replace(params, duration=float(duration))
+            second_order_energy_freq(p, Polynomial5(p), lanes)
+            factors = lanes.scratch._factors
+            assert len(factors) == 2
+            assert all(grid[-1] < p.duration for grid, _ in factors.values())
+            assert all(grid[-1] > 0.99 * p.duration for grid, _ in factors.values())
+
     def test_estimated_grid_covers_the_grid_reached(self, params, monkeypatch):
         # from lanes that stop at the first doubling to ones that double
-        # four times more, the estimate is at least the finest grid reached
-        # and less than twice it
+        # twice more, the estimate is at least the finest grid reached
+        # and at most twice it (twice at ratios 100 and 200, where the finest
+        # grid is 384 and 768 panels)
         reached, panel_sum = [], quadrature._panel_sum
 
         def spy(f, a, b, n):
@@ -210,7 +252,7 @@ class TestLanes:
             reached.clear()
             second_order_energy_freq(params, proto, sine_lanes([omega]))
             estimate = perturbation._estimated_panels(params, omega)
-            assert max(reached) <= estimate < 2 * max(reached)
+            assert max(reached) <= estimate <= 2 * max(reached)
 
     def test_blocks_cover_the_axis_within_the_node_bound(self, params):
         omegas = np.linspace(0.1, 200.0, 2000) * params.omega0
