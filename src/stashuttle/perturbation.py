@@ -37,6 +37,19 @@ def _as_function(f):
     return f, None
 
 
+def _lane_frequencies(f):
+    """Angular frequency of each lane of `f`, or None when it is not known.
+
+    A `SineLanes` has one per lane; a sine-kind perturbation has its fastest
+    component.
+    """
+    if isinstance(f, SineLanes):
+        return f.omegas
+    if isinstance(f, Perturbation) and f.components:
+        return max(abs(omega) for omega, _, _ in f.components)
+    return None
+
+
 class _Scratch:
     """Float64 buffers and grid-only factors shared by the lane blocks of one axis.
 
@@ -95,9 +108,19 @@ class SineLanes:
         return np.sin(out, out=out)
 
 
-def _first_panels(freq: float, w0: float, t: float) -> int:
-    """First grid of a first-order convolution with a kernel of frequency `freq`."""
-    return oscillation_panels((freq + 2.0 * w0) * t)
+def _first_panels(omegas, freq: float, t: float):
+    """First grid of lanes of frequencies `omegas` on kernels up to `freq`.
+
+    The coarsest 4*2^k panels that put at most PANEL_PHASE rad of the
+    lane's phase (|omega| + freq) t on one panel, of the shape of `omegas`.
+    Starts of this form are the smallest start of a block times a power of
+    two, as `adaptive_quad` needs them.
+    """
+    phase = (np.abs(omegas) + freq) * t
+    panels = np.full(np.shape(phase), 4)
+    while (short := panels * PANEL_PHASE < phase).any():
+        panels[short] *= 2
+    return panels[()]
 
 
 @dataclass(frozen=True)
@@ -125,24 +148,33 @@ class FirstOrderSolution:
     quadrature at 1e-10 relative tolerance.  When `f(t)` returns shape
     (*lanes, *t.shape), every evaluator returns the lane shape.  A `SineLanes`
     `f` lends the scratch of its axis; any other `f` gets a scratch of its own.
+    A `SineLanes` or sine-kind `f` starts each lane on the grid of its own
+    frequency (`_first_panels`); a plain callable starts every lane on the
+    grid of a perturbation at 2 w0.
     """
 
     def __init__(self, params: PhysicalParams, proto: Protocol, f):
         self.params = params
         self.proto = proto
         self._f, _ = _as_function(f)
+        self._omegas = _lane_frequencies(f)
         self._scratch = f.scratch if isinstance(f, SineLanes) else _Scratch()
 
     def _conv(self, t: float, names: tuple) -> list:
         """The responses `names` (keys of _ROWS) at `t`, each of the lane shape.
 
-        The kernel rows integrate as one stack f(t') x rows(t') on the grid
-        chain of the stack's highest kernel frequency, each element
-        converging on its own.  For a given `t` and protocol the rows depend
-        on the grid only, so the scratch keeps them.
+        The kernel rows integrate as one stack f(t') x rows(t'), each lane
+        starting on the grid of its own phase against the stack's highest
+        kernel frequency and each element converging on its own.  For a
+        given `t` and protocol the rows depend on the grid only, so the
+        scratch keeps them.
         """
         w0 = self.params.omega0
-        panels = _first_panels(max(_ROWS[name][1] for name in names) * w0, w0, t)
+        freq = max(_ROWS[name][1] for name in names) * w0
+        if self._omegas is None:
+            panels = oscillation_panels((freq + 2.0 * w0) * t)
+        else:
+            panels = np.expand_dims(_first_panels(self._omegas, freq, t), -1)
         scratch = self._scratch
 
         def rows(tp):
@@ -214,19 +246,13 @@ def sine_lanes(omegas) -> SineLanes:
     return SineLanes(np.asarray(omegas, dtype=float), _Scratch())
 
 
-def _estimated_panels(params: PhysicalParams, omega: float) -> int:
-    """Panels of the finest grid the quadrature of a lane at `omega` should reach.
+def _estimated_panels(params: PhysicalParams, omegas):
+    """Panels of the finest grid the quadrature of lanes at `omegas` should reach.
 
-    The doubling of the stack's first grid (from its highest kernel
-    frequency, 2 w0) that puts at most PANEL_PHASE rad of the lane's phase
-    (|omega| + 2 w0) T on one panel, doubled once more by the convergence
-    check.
+    The lane's first grid against the stack's highest kernel frequency,
+    2 w0, doubled once by the convergence check.
     """
-    w0, T = params.omega0, params.duration
-    panels = _first_panels(2.0 * w0, w0, T)
-    while panels * PANEL_PHASE < (abs(omega) + 2.0 * w0) * T:
-        panels *= 2
-    return 2 * panels
+    return 2 * _first_panels(omegas, 2.0 * params.omega0, params.duration)
 
 
 def lane_blocks(params: PhysicalParams, omegas) -> list[slice]:
@@ -238,8 +264,8 @@ def lane_blocks(params: PhysicalParams, omegas) -> list[slice]:
     is what checks the block size.
     """
     blocks, start, widest = [], 0, 0
-    for k, omega in enumerate(np.asarray(omegas, dtype=float).tolist()):
-        nodes = PANEL_ORDER * _estimated_panels(params, omega)
+    estimates = _estimated_panels(params, np.asarray(omegas, dtype=float))
+    for k, nodes in enumerate((PANEL_ORDER * estimates).tolist()):
         widest = max(widest, nodes)
         if k > start and (k + 1 - start) * widest > LANE_NODES:
             blocks.append(slice(start, k))

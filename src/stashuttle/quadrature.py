@@ -64,7 +64,7 @@ def oscillation_panels(total_phase: float) -> int:
 
 
 def adaptive_quad(f, a: float, b: float, rtol: float = 1e-10,
-                  initial_panels: int = 8, max_panels: int = 1 << 17):
+                  initial_panels=8, max_panels: int = 1 << 17):
     """Integrate a vectorized (possibly complex) integrand over [a, b].
 
     Convergence is declared when doubling the panel count changes the result
@@ -77,6 +77,12 @@ def adaptive_quad(f, a: float, b: float, rtol: float = 1e-10,
     result has the lane shape.  The call raises if any element fails, with
     the worst achieved change.  A 1-D integrand gives a scalar.
 
+    ``initial_panels`` is one start for every element or an array that
+    broadcasts to the lane shape, one start per element.  The grids run from
+    the smallest start up, and an element counts a doubling only from its
+    own start on, so it gets the bits of a call started at its own start.
+    Every start must therefore be the smallest times a power of two.
+
     The call owns the array ``f(t)`` returns and weights it in place, so an
     integrand returns a fresh array or a scratch buffer it overwrites on its
     next call, never values it still needs.  A read-only, non-contiguous or
@@ -84,8 +90,13 @@ def adaptive_quad(f, a: float, b: float, rtol: float = 1e-10,
     """
     if b == a:
         return np.zeros(np.shape(f(np.empty(0)))[:-1])[()]
-    n = max(4, int(initial_panels))
+    starts = np.maximum(4, np.asarray(initial_panels).astype(np.int64))
+    n = int(starts.min())
+    steps = starts // n
+    if np.any(starts % n) or np.any(steps & (steps - 1)):
+        raise ValueError("every initial panel count must be the smallest times a power of two")
     prev, _ = _panel_sum(f, a, b, n)
+    starts = np.broadcast_to(starts, prev.shape)
     result = np.zeros_like(prev)
     done = np.zeros(prev.shape, dtype=bool)
     relative = np.full(prev.shape, np.inf)
@@ -94,6 +105,8 @@ def adaptive_quad(f, a: float, b: float, rtol: float = 1e-10,
         cur, scale = _panel_sum(f, a, b, n)
         change = np.abs(cur - prev)
         converged = change <= np.maximum(rtol * np.abs(cur), 1e-14 * abs(b - a) * scale)
+        # a doubling from a grid below an element's own start does not count
+        converged &= 2 * starts <= n
         np.copyto(result, cur, where=converged & ~done)
         done |= converged
         if done.all():

@@ -12,7 +12,7 @@ from stashuttle.perturbation import (LANE_NODES, eta_ratio, fourier_dynamical,
                                      fourier_static_freq, fourier_static_pos,
                                      lane_blocks, second_order_energy_freq,
                                      second_order_energy_pos, sine_lanes)
-from stashuttle.quadrature import PANEL_ORDER, oscillation_panels
+from stashuttle.quadrature import PANEL_ORDER
 
 TWO_PI = 2 * np.pi
 
@@ -120,11 +120,32 @@ class TestLanes:
         for ratios, one_lane_blocks in [([0.3, 1.0, 1.7, 2.0, 2.6, 3.9], False),
                                         (np.linspace(0.1, 200.0, 24), True)]:
             omegas = np.array(ratios) * params.omega0
-            widths = [b.stop - b.start for b in lane_blocks(params, omegas)]
+            blocks = lane_blocks(params, omegas)
+            widths = [b.stop - b.start for b in blocks]
             assert (widths[-1] == 1) == one_lane_blocks and max(widths) > 1
+            # a block whose lanes start on different grids
+            starts = perturbation._first_panels(omegas, 2.0 * params.omega0,
+                                                params.duration)
+            assert any(np.unique(starts[b]).size > 1 for b in blocks)
             static, dynamical = blocked_report(params, proto, sine_lanes(omegas), omegas,
                                                n=1)
             assert_one_point_calls(params, proto, omegas, static, dynamical, n=1)
+
+    def test_lanes_agree_with_a_fine_tight_reference(self, params, monkeypatch):
+        # each lane of an axis against its own quadrature at rtol 1e-13 started
+        # on at least 2048 panels (at most 5 rad of phase per panel)
+        proto = Polynomial5(params)
+        omegas = np.geomspace(0.05, 200.0, 24) * params.omega0
+        static, dynamical = blocked_report(params, proto, sine_lanes(omegas), omegas)
+        first_panels = perturbation._first_panels
+        monkeypatch.setattr(perturbation, "RTOL", 1e-13)
+        monkeypatch.setattr(perturbation, "_first_panels",
+                            lambda *args: max(2048, first_panels(*args)))
+        refs = [second_order_energy_freq(params, proto, Perturbation.frequency_sine(omega, 0.01))
+                for omega in omegas]
+        for got, want in [(static, np.array([r.static_quanta for r in refs])),
+                          (dynamical, np.array([r.dynamical_quanta for r in refs]))]:
+            assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want) + 1e-14 * want.max())
 
     def test_slices_share_one_scratch(self, params):
         omegas = np.arange(1.0, 7.0) * params.omega0
@@ -199,7 +220,9 @@ class TestLanes:
 
     def test_block_integrates_one_stack_of_four_rows(self, params, monkeypatch):
         # the four kernels of a block share one quadrature, and its lanes are
-        # evaluated on the first grid, its doubling and at T
+        # evaluated at T and on the grids from the slowest lane's start (8
+        # panels for 2.3*16*pi rad of phase at 0.3 w0) to the doubling of the
+        # fastest lane's start (32 panels for 5.9*16*pi rad at 3.9 w0)
         omegas = np.array([0.3, 1.0, 1.7, 2.0, 2.6, 3.9]) * params.omega0
         lanes, shapes, grids = sine_lanes(omegas), [], []
         quad, call = perturbation.adaptive_quad, perturbation.SineLanes.__call__
@@ -217,28 +240,35 @@ class TestLanes:
         monkeypatch.setattr(perturbation.SineLanes, "__call__", counting_call)
         (block,) = lane_blocks(params, omegas)
         second_order_energy_freq(params, Polynomial5(params), lanes[block])
-        first = PANEL_ORDER * oscillation_panels(4.0 * params.omega0 * params.duration)
         assert shapes == [(omegas.size, 4)]
-        assert grids == [1, first, 2 * first]
+        assert grids == [1] + [PANEL_ORDER * panels for panels in (8, 16, 32, 64)]
 
     def test_factor_cache_holds_one_duration(self, params):
         # a library caller reusing one lanes object over many durations keeps
         # the grid factors of the latest duration only
         omegas = np.array([0.5, 2.5]) * params.omega0
         lanes = sine_lanes(omegas)
+        sizes = set()
         for duration in np.linspace(1.0, 3.0, 50) * params.duration:
             p = dataclasses.replace(params, duration=float(duration))
             second_order_energy_freq(p, Polynomial5(p), lanes)
             factors = lanes.scratch._factors
-            assert len(factors) == 2
+            # the grids from the slower lane's start to the faster one's doubling
+            slow, fast = perturbation._first_panels(omegas, 2.0 * p.omega0, p.duration)
+            grids = [PANEL_ORDER * slow]
+            while grids[-1] < 2 * PANEL_ORDER * fast:
+                grids.append(2 * grids[-1])
+            assert sorted(factors) == grids
+            sizes.add(len(factors))
             assert all(grid[-1] < p.duration for grid, _ in factors.values())
             assert all(grid[-1] > 0.99 * p.duration for grid, _ in factors.values())
+        # durations where both lanes start on one grid and where they do not
+        assert sizes == {2, 3}
 
     def test_estimated_grid_covers_the_grid_reached(self, params, monkeypatch):
-        # from lanes that stop at the first doubling to ones that double
-        # twice more, the estimate is at least the finest grid reached
-        # and at most twice it (twice at ratios 100 and 200, where the finest
-        # grid is 384 and 768 panels)
+        # every lane, from 0.1 w0 to 200 w0, stops at the first doubling of
+        # its own start, the estimate, also at 94.14, 147.70, 189.99 and
+        # 193.99 w0, where rows cancel down to the convergence floor
         reached, panel_sum = [], quadrature._panel_sum
 
         def spy(f, a, b, n):
@@ -247,22 +277,28 @@ class TestLanes:
 
         monkeypatch.setattr(quadrature, "_panel_sum", spy)
         proto = Polynomial5(params)
-        for ratio in (0.1, 4.0, 25.0, 50.0, 100.0, 200.0):
+        for ratio in (0.1, 4.0, 25.0, 50.0, 94.14, 100.0, 147.70, 189.99, 193.99, 200.0):
             omega = ratio * params.omega0
             reached.clear()
             second_order_energy_freq(params, proto, sine_lanes([omega]))
-            estimate = perturbation._estimated_panels(params, omega)
-            assert max(reached) <= estimate <= 2 * max(reached)
+            assert max(reached) == perturbation._estimated_panels(params, omega)
 
     def test_blocks_cover_the_axis_within_the_node_bound(self, params):
         omegas = np.linspace(0.1, 200.0, 2000) * params.omega0
         blocks = lane_blocks(params, omegas)
         assert blocks[0].start == 0 and blocks[-1].stop == omegas.size
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
-        # slow lanes fill a block up to the bound against the width factor's
-        # first doubling; the fast end of the axis goes one lane at a time
-        first = 2 * PANEL_ORDER * oscillation_panels(4.0 * params.omega0 * params.duration)
-        assert blocks[0].stop == LANE_NODES // first > 1
+        # a block takes lanes until the next one would put lanes x its widest
+        # estimated grid above the bound; the fast end goes one lane at a time
+        nodes = PANEL_ORDER * perturbation._estimated_panels(params, omegas)
+        for block in blocks:
+            width = block.stop - block.start
+            assert width == 1 or width * nodes[block].max() <= LANE_NODES
+            if block.stop < omegas.size:
+                assert (width + 1) * nodes[block.start:block.stop + 1].max() > LANE_NODES
+        # the slow end: 32 lanes up to 3.2 w0, whose estimate is 64 panels
+        assert blocks[0].stop == LANE_NODES // (PANEL_ORDER * 64) == 32
+        assert nodes[31] == PANEL_ORDER * 64
         assert blocks[-1].stop - blocks[-1].start == 1
         assert lane_blocks(params, omegas[:1]) == [slice(0, 1)]
 

@@ -112,6 +112,27 @@ def test_straggler_lane_keeps_its_own_doubling():
     assert finest != early
 
 
+def test_lane_starts_match_scalar_calls_bit_for_bit():
+    # every element starts on its own grid, a power-of-two multiple of the
+    # smallest, and equals a one-element call started there
+    ks = np.array([[0.5, 30.0, 300.0], [90.0, 7.5, 1200.0]])
+    starts = np.array([[4, 16, 64], [32, 8, 256]])
+
+    def lane(k):
+        return lambda t: np.cos(np.multiply.outer(k, t)) * np.exp(-t)
+
+    got = adaptive_quad(lane(ks), 0.0, 2.0, rtol=1e-11, initial_panels=starts)
+    assert got.shape == ks.shape
+    for idx, k in np.ndenumerate(ks):
+        one = adaptive_quad(lane(k), 0.0, 2.0, rtol=1e-11, initial_panels=starts[idx])
+        assert got[idx] == one
+        # started on the block's smallest grid, the element would differ
+        assert idx == (0, 0) or got[idx] != adaptive_quad(lane(k), 0.0, 2.0, rtol=1e-11,
+                                                          initial_panels=4)
+    with pytest.raises(ValueError, match="power of two"):
+        adaptive_quad(lane(ks[0]), 0.0, 2.0, initial_panels=[8, 12, 16])
+
+
 def test_one_non_converging_lane_raises():
     rng = np.random.default_rng(0)
 
