@@ -26,7 +26,7 @@ from .design import (DesignConstraints, DesignError, design_aux_multi,
                      design_aux_single, design_fourier, target_integral)
 from .dynamics import (IntegrationError, excess_energy_exact,
                        trap_from_classical)
-from .model import Perturbation, PhysicalParams, Polynomial5, validate
+from .model import AMPLITUDE_WARN, Perturbation, PhysicalParams, Polynomial5, validate
 from .optimize import (OCT_MIN_STEPS, GaConfig, SingularSystemError,
                        corridor_cost, ga_minimize, oct_solve)
 from .perturbation import lane_blocks, second_order_energy_freq, sine_lanes
@@ -116,7 +116,7 @@ _SWEEP_VARIABLES = {"duration": _TIME_UNITS, "omega0": _FREQ_UNITS, "omega": _FR
 def _checked(params: PhysicalParams) -> PhysicalParams:
     report = validate(params)
     if not report.ok:
-        raise ConfigError("; ".join(i.message for i in report.errors))
+        raise ConfigError("; ".join(report.issues))
     return params
 
 
@@ -262,8 +262,9 @@ def cmd_scan(config: dict, out: str, seed: int | None) -> int:
 
 def cmd_verify(config: dict, out: str, seed: int | None) -> int:
     params, pert, level, variable, values = _scan_inputs(config)
-    if pert.amplitude > 0.05:
-        raise ConfigError("verify needs amplitude <= 0.05 for a meaningful comparison")
+    if pert.amplitude > AMPLITUDE_WARN:
+        raise ConfigError(f"verify needs amplitude <= {AMPLITUDE_WARN} "
+                          "for a meaningful comparison")
     omega_pert = pert.components[0][0]
     steps_per_cycle = _integer(config, "steps_per_cycle", "steps_per_cycle", 400,
                                minimum=1)

@@ -19,8 +19,7 @@ from itertools import combinations
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .model import (FourierSineProtocol, PhysicalParams, PolynomialTrajectory,
-                    Protocol, ProtocolKind)
+from .model import FourierSineProtocol, PhysicalParams, PolynomialTrajectory, Protocol
 from .perturbation import accel_ft
 from .quadrature import adaptive_quad, oscillation_panels
 
@@ -80,10 +79,10 @@ def _design_aux(params: PhysicalParams, omegas: tuple[float, ...]) -> Polynomial
             sum(np.prod(c) for c in combinations(squares, j)))
         accel = accel + elementary * g.deriv(4 * p - 2 * j)
 
-    proto = PolynomialTrajectory(params, accel, 1.0, kind=ProtocolKind.AUX_FUNCTION)
+    proto = PolynomialTrajectory(params, accel, 1.0)
     end_position = float(proto.position(T))
     amplitude = d / end_position
-    proto = PolynomialTrajectory(params, accel, amplitude, kind=ProtocolKind.AUX_FUNCTION)
+    proto = PolynomialTrajectory(params, accel, amplitude)
     proto.design = AuxFunctionSpec(tuple(omegas), edge, amplitude)
     return proto
 
@@ -173,13 +172,10 @@ class AnsatzSystem:
     the constraints rather than unit bookkeeping.
     """
 
-    def __init__(self, params: PhysicalParams, constraints: DesignConstraints,
-                 matrix: np.ndarray, rhs: np.ndarray, labels: list[str]):
+    def __init__(self, params: PhysicalParams, matrix: np.ndarray, rhs: np.ndarray):
         self.params = params
-        self.constraints = constraints
         self.matrix = matrix          # row-normalized, dimensionless
         self.rhs = rhs
-        self.labels = labels
         self.n_terms = matrix.shape[1]
         self.coeff_scale = params.distance / params.duration**2
 
@@ -244,7 +240,7 @@ def assemble_system(params: PhysicalParams, constraints: DesignConstraints) -> A
     for label, norm in zip(labels, norms):
         if not norm > 0.0:
             raise DesignError(f"constraint row {label} is zero: it cannot be normalised")
-    return AnsatzSystem(params, constraints, matrix / norms[:, None], rhs / norms, labels)
+    return AnsatzSystem(params, matrix / norms[:, None], rhs / norms)
 
 
 def design_fourier(params: PhysicalParams,

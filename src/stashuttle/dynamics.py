@@ -67,11 +67,10 @@ class AuxiliarySolution:
 
 
 class TrapTrajectory:
-    """Evaluator for the trap center Q(t); `ideal` marks the unperturbed design."""
+    """Evaluator for the trap center Q(t)."""
 
-    def __init__(self, fn, ideal: bool = True):
+    def __init__(self, fn):
         self._fn = fn
-        self.ideal = ideal
 
     def __call__(self, t):
         return self._fn(np.asarray(t, dtype=float))
@@ -87,7 +86,7 @@ def trap_from_classical(proto: Protocol, params: PhysicalParams) -> TrapTrajecto
     if params.omega0 != proto.params.omega0:
         raise ValueError(f"params.omega0 = {params.omega0!r} differs from the "
                          f"protocol's omega0 = {proto.params.omega0!r}")
-    return TrapTrajectory(proto.trap_path, ideal=True)
+    return TrapTrajectory(proto.trap_path)
 
 
 def shifted_trap(trap: TrapTrajectory, pert: Perturbation,
@@ -100,7 +99,7 @@ def shifted_trap(trap: TrapTrajectory, pert: Perturbation,
     def fn(t):
         return trap(t) + amp_d * eval_perturbation(pert, t)
 
-    return TrapTrajectory(fn, ideal=False)
+    return TrapTrajectory(fn)
 
 
 def _reject_first(bad: np.ndarray, tg: np.ndarray, what: str) -> None:

@@ -1,8 +1,8 @@
 """Domain types: trap parameters, perturbation functions, shuttling protocols.
 
 Units are strict SI throughout (kg, m, s, rad/s, J); unit conversion happens
-only at the CLI boundary.  All types are immutable after construction and all
-evaluators are pure, so instances can be shared freely across threads.
+only at the CLI boundary.  Parameters and perturbations are immutable, and
+their evaluators are pure.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import warnings
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -60,16 +60,10 @@ class PhysicalParams:
 class PerturbationKind(enum.Enum):
     FREQUENCY_SINE = "frequency_sine"
     FREQUENCY_SUM = "frequency_sum"
-    FREQUENCY_TABULATED = "frequency_tabulated"
     POSITION_SINE = "position_sine"
-    POSITION_TABULATED = "position_tabulated"
 
 
-_FREQUENCY_KINDS = {
-    PerturbationKind.FREQUENCY_SINE,
-    PerturbationKind.FREQUENCY_SUM,
-    PerturbationKind.FREQUENCY_TABULATED,
-}
+_FREQUENCY_KINDS = {PerturbationKind.FREQUENCY_SINE, PerturbationKind.FREQUENCY_SUM}
 
 
 @dataclass(frozen=True)
@@ -78,15 +72,13 @@ class Perturbation:
 
     Frequency kinds describe f(t) in Omega(t) = Omega0*(1 + amplitude*f(t));
     position kinds describe h(t) in Q(t) = Q0(t) + amplitude*d*h(t).
-    `components` holds (angular frequency rad/s, phase rad, weight) triples for
-    the sine kinds; tabulated kinds carry uniform samples over [0, duration].
+    `components` holds (angular frequency rad/s, phase rad, weight) triples,
+    whose sines superpose to f or h.
     """
 
     kind: PerturbationKind
     amplitude: float
     components: tuple[tuple[float, float, float], ...] = ()
-    samples: tuple[float, ...] = ()
-    duration: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.amplitude <= AMPLITUDE_CAP:
@@ -101,12 +93,6 @@ class Perturbation:
             if len(self.components) != 1 or self.components[0][1] != 0.0 \
                     or self.components[0][2] != 1.0:
                 raise ValueError("frequency_sine takes exactly one component, phase 0, weight 1")
-        if self.kind in (PerturbationKind.FREQUENCY_TABULATED,
-                         PerturbationKind.POSITION_TABULATED):
-            if len(self.samples) < 2:
-                raise ValueError("tabulated perturbation needs at least 2 samples")
-            if self.duration is None or self.duration <= 0:
-                raise ValueError("tabulated perturbation needs a positive duration")
 
     # -- constructors -------------------------------------------------------
 
@@ -120,18 +106,8 @@ class Perturbation:
                    tuple((float(w), float(p), float(c)) for w, p, c in components))
 
     @classmethod
-    def frequency_tabulated(cls, samples, amplitude: float, duration: float) -> "Perturbation":
-        return cls(PerturbationKind.FREQUENCY_TABULATED, amplitude, (),
-                   tuple(float(v) for v in samples), duration)
-
-    @classmethod
     def position_sine(cls, omega: float, amplitude: float) -> "Perturbation":
         return cls(PerturbationKind.POSITION_SINE, amplitude, ((omega, 0.0, 1.0),))
-
-    @classmethod
-    def position_tabulated(cls, samples, amplitude: float, duration: float) -> "Perturbation":
-        return cls(PerturbationKind.POSITION_TABULATED, amplitude, (),
-                   tuple(float(v) for v in samples), duration)
 
     @property
     def is_frequency(self) -> bool:
@@ -145,70 +121,33 @@ class Perturbation:
 def eval_perturbation(pert: Perturbation, t):
     """Evaluate f(t) (frequency kinds) or h(t) (position kinds); pure and vectorized."""
     t = np.asarray(t, dtype=float)
-    if pert.kind in (PerturbationKind.FREQUENCY_TABULATED,
-                     PerturbationKind.POSITION_TABULATED):
-        T = pert.duration
-        slack = 1e-12 * T
-        if np.any(t < -slack) or np.any(t > T + slack):
-            raise ValueError(f"tabulated perturbation defined on [0, {T}]; got t outside range")
-        grid = np.linspace(0.0, T, len(pert.samples))
-        out = np.interp(np.clip(t, 0.0, T), grid, np.asarray(pert.samples))
-    else:
-        out = np.zeros_like(t)
-        for omega, phase, weight in pert.components:
-            out = out + weight * np.sin(omega * t + phase)
+    out = np.zeros_like(t)
+    for omega, phase, weight in pert.components:
+        out = out + weight * np.sin(omega * t + phase)
     return out if out.ndim else float(out)
 
 
 # -- validation ------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ValidationIssue:
-    severity: str   # "error" | "warning"
-    message: str
-
-
-@dataclass(frozen=True)
 class ValidationReport:
-    issues: tuple[ValidationIssue, ...]
+    issues: tuple[str, ...]   # one message per violated invariant
 
     @property
     def ok(self) -> bool:
-        return not any(i.severity == "error" for i in self.issues)
-
-    @property
-    def warnings(self) -> tuple[ValidationIssue, ...]:
-        return tuple(i for i in self.issues if i.severity == "warning")
-
-    @property
-    def errors(self) -> tuple[ValidationIssue, ...]:
-        return tuple(i for i in self.issues if i.severity == "error")
+        return not self.issues
 
 
-def validate(params: PhysicalParams, pert: Perturbation | None = None) -> ValidationReport:
+def validate(params: PhysicalParams) -> ValidationReport:
     """Collect every invariant violation instead of raising on the first one."""
-    issues: list[ValidationIssue] = []
-
-    def err(msg):
-        issues.append(ValidationIssue("error", msg))
-
-    def warn(msg):
-        issues.append(ValidationIssue("warning", msg))
-
+    issues: list[str] = []
     for name in ("mass", "omega0", "distance", "duration"):
         value = getattr(params, name)
         if not np.isfinite(value) or value <= 0:
-            err(f"{name} > 0 violated (got {value})")
+            issues.append(f"{name} > 0 violated (got {value})")
     product = params.omega0 * params.duration
     if not np.isfinite(product) or product == 0:
-        err(f"omega0*duration must be finite and nonzero (got {product})")
-
-    if pert is not None:
-        if pert.amplitude > AMPLITUDE_WARN:
-            warn(f"amplitude {pert.amplitude} > {AMPLITUDE_WARN}: perturbative accuracy degraded")
-        if pert.duration is not None and np.isfinite(params.duration) \
-                and abs(pert.duration - params.duration) > 1e-12 * params.duration:
-            err("tabulated perturbation duration does not match params.duration")
+        issues.append(f"omega0*duration must be finite and nonzero (got {product})")
     return ValidationReport(tuple(issues))
 
 
@@ -390,10 +329,10 @@ class PolynomialTrajectory(Protocol):
     q''(t) = amplitude * accel_poly(v).
     """
 
-    def __init__(self, params: PhysicalParams, accel_poly: Polynomial,
-                 amplitude: float, kind: ProtocolKind = ProtocolKind.AUX_FUNCTION):
+    kind = ProtocolKind.AUX_FUNCTION
+
+    def __init__(self, params: PhysicalParams, accel_poly: Polynomial, amplitude: float):
         super().__init__(params)
-        self.kind = kind
         self._accel = accel_poly
         vel = accel_poly.integ()
         self._vel = vel - vel(-0.5)

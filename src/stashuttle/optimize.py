@@ -29,6 +29,13 @@ __all__ = [
 
 OCT_MIN_STEPS = 2000          # fewest output-grid intervals of oct_solve
 
+# fixed operators of the genetic search
+CROSSOVER_RATE = 0.9          # chance that a pair of parents is blended
+MUTATION_RATE = 0.15          # chance that a coordinate of a child mutates
+MUTATION_SCALE = 0.2          # mutation width as a fraction of the initial spread
+TOURNAMENT = 3                # candidates drawn per selection
+BLEND_ALPHA = 0.5             # blend crossover draws its mix from [-alpha, 1 + alpha]
+
 
 class SingularSystemError(RuntimeError):
     """The endpoint probe matrix of the extremal solve is numerically singular."""
@@ -85,13 +92,7 @@ class GaConfig:
     seed: int
     population: int = 64
     generations: int = 500
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.15
-    mutation_scale: float = 0.2       # fraction of the initial spread
     stagnation_limit: int = 60
-    tournament: int = 3
-    blend_alpha: float = 0.5
-    init_spread: float | None = None  # defaults to |particular solution|
 
     def __post_init__(self):
         if self.seed < 0:
@@ -111,17 +112,17 @@ class GaResult:
     history: list[float] = field(default_factory=list)
     generations_used: int = 0
     converged: bool = False
-    coefficients: np.ndarray | None = None
 
 
 def ga_minimize(params: PhysicalParams, system: AnsatzSystem, cost,
                 cfg: GaConfig) -> GaResult:
     """Evolve nullspace coordinates to minimize `cost(trap)` over valid designs.
 
-    Tournament selection, blend crossover and Gaussian mutation with elitism;
-    stops on an exact zero of the cost or after `stagnation_limit`
-    generations without improvement.  Identical seeds give bit-identical
-    results.
+    Tournament selection, blend crossover and Gaussian mutation with elitism,
+    sized by the module constants above, from an initial population drawn
+    with the particular solution's norm as its spread.  Stops on an exact
+    zero of the cost or after `stagnation_limit` generations without
+    improvement.  Identical seeds give bit-identical results.
 
     `cost` is called once per generation with the trap path of the whole
     population: `trap(t)` has shape (population, samples), and `cost` returns
@@ -132,9 +133,8 @@ def ga_minimize(params: PhysicalParams, system: AnsatzSystem, cost,
     if dim < 1:
         raise DesignError("nothing to optimize: the constraint system has no nullspace")
     rng = np.random.default_rng(cfg.seed)
-    spread = cfg.init_spread if cfg.init_spread is not None \
-        else float(np.linalg.norm(particular))
-    sigma_mut = cfg.mutation_scale * spread
+    spread = float(np.linalg.norm(particular))
+    sigma_mut = MUTATION_SCALE * spread
 
     pop = rng.normal(0.0, spread, (cfg.population, dim))
     best_z = pop[0].copy()
@@ -158,19 +158,19 @@ def ga_minimize(params: PhysicalParams, system: AnsatzSystem, cost,
         if best_cost == 0.0 or stall >= cfg.stagnation_limit:
             break
         # tournament selection
-        draws = rng.integers(0, cfg.population, (cfg.population, cfg.tournament))
+        draws = rng.integers(0, cfg.population, (cfg.population, TOURNAMENT))
         winners = draws[np.arange(cfg.population), np.argmin(costs[draws], axis=1)]
         parents = pop[winners]
         children = parents.copy()
         # blend crossover on consecutive pairs
         for k in range(0, cfg.population - 1, 2):
-            if rng.random() < cfg.crossover_rate:
-                lo, hi = -cfg.blend_alpha, 1.0 + cfg.blend_alpha
+            if rng.random() < CROSSOVER_RATE:
+                lo, hi = -BLEND_ALPHA, 1.0 + BLEND_ALPHA
                 mix = rng.uniform(lo, hi, dim)
                 children[k] = mix * parents[k] + (1.0 - mix) * parents[k + 1]
                 mix = rng.uniform(lo, hi, dim)
                 children[k + 1] = mix * parents[k + 1] + (1.0 - mix) * parents[k]
-        mutate = rng.random((cfg.population, dim)) < cfg.mutation_rate
+        mutate = rng.random((cfg.population, dim)) < MUTATION_RATE
         children = np.where(mutate,
                             children + rng.normal(0.0, sigma_mut, (cfg.population, dim)),
                             children)
@@ -181,7 +181,7 @@ def ga_minimize(params: PhysicalParams, system: AnsatzSystem, cost,
     return GaResult(protocol=FourierSineProtocol(params, coeffs),
                     best_cost=best_cost, history=history,
                     generations_used=generation + 1,
-                    converged=best_cost == 0.0, coefficients=coeffs)
+                    converged=best_cost == 0.0)
 
 
 # -- optimal-control extremal --------------------------------------------------
@@ -369,7 +369,7 @@ class OctSolution:
             path = self.states(inside)[0] - self.control(inside)
             return np.where(t <= 0.0, 0.0, np.where(t >= T, d, path))
 
-        return TrapTrajectory(fn, ideal=True)
+        return TrapTrajectory(fn)
 
     def protocol(self) -> OctExtremalProtocol:
         return OctExtremalProtocol(self.params, self)

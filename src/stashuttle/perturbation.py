@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Perturbation, PerturbationKind, PhysicalParams, Protocol,
-                    FourierSineProtocol, eval_perturbation)
+from .model import (Perturbation, PhysicalParams, Protocol, FourierSineProtocol,
+                    eval_perturbation)
 from .quadrature import (PANEL_ORDER, adaptive_quad, oscillation_panels,
                          sine_phase_integral)
 
@@ -273,15 +273,12 @@ def lane_blocks(params: PhysicalParams, omegas) -> list[slice]:
     return blocks + [slice(start, len(omegas))]
 
 
-def second_order_energy_pos(params: PhysicalParams, proto: Protocol, h,
-                            n: int = 0) -> ExcitationReport:
+def second_order_energy_pos(params: PhysicalParams, h, n: int = 0) -> ExcitationReport:
     """Second-order excitation for a trap-position error Q = Q0 + amplitude*d*h(t).
 
     The width factor is untouched at first order, so the excitation is purely
-    static: it does not depend on the ideal trajectory at all (the protocol
-    argument is kept for interface symmetry).
+    static: it does not depend on the ideal trajectory at all.
     """
-    del proto  # position response is protocol-independent
     hf, _ = _as_function(h)
     T, w0, m, d = params.duration, params.omega0, params.mass, params.distance
     panels = oscillation_panels(3.0 * w0 * T)
@@ -323,14 +320,13 @@ def accel_ft(proto: Protocol, nu: float, rtol: float = RTOL) -> complex:
 def fourier_dynamical(params: PhysicalParams, proto: Protocol, f) -> float:
     """Dynamical excitation from the acceleration transform, quanta per amplitude^2.
 
-    Evaluates 2*m*|int f(t) q0''(t) exp(-i*w0*t) dt|^2.  Sine-kind
+    Evaluates 2*m*|int f(t) q0''(t) exp(-i*w0*t) dt|^2.  Frequency
     perturbations split into transforms at omega0 -/+ omega; callables are
     integrated directly.
     """
     fn, pert = _as_function(f)
     T, w0 = params.duration, params.omega0
-    if pert is not None and pert.kind in (PerturbationKind.FREQUENCY_SINE,
-                                          PerturbationKind.FREQUENCY_SUM):
+    if pert is not None and pert.is_frequency:
         total = 0.0 + 0.0j
         for omega, phase, weight in pert.components:
             total += weight * (np.exp(1j * phase) * accel_ft(proto, w0 - omega)
@@ -347,10 +343,8 @@ def fourier_dynamical(params: PhysicalParams, proto: Protocol, f) -> float:
 
 
 def _transform_of_perturbation(fn, pert, freq: float, T: float) -> complex:
-    """int_0^T f(t) exp(-i*freq*t) dt with the closed form for sine kinds."""
-    if pert is not None and pert.kind in (PerturbationKind.FREQUENCY_SINE,
-                                          PerturbationKind.FREQUENCY_SUM,
-                                          PerturbationKind.POSITION_SINE):
+    """int_0^T f(t) exp(-i*freq*t) dt, in closed form for a Perturbation."""
+    if pert is not None:
         return sum(weight * sine_phase_integral(omega, phase, freq, T)
                    for omega, phase, weight in pert.components)
     panels = oscillation_panels(2.0 * freq * T)

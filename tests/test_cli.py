@@ -257,9 +257,17 @@ class TestVerify:
         config = base_config(scan={"variable": "duration", "points": 2,
                                    "min": {"value": 1.0, "unit": "us"},
                                    "max": {"value": 2.0, "unit": "us"}})
-        config["perturbation"]["amplitude"] = 0.2
+        for amplitude in (0.2, 0.0501):
+            config["perturbation"]["amplitude"] = amplitude
+            code, _, captured = run(tmp_path, capsys, "verify", config)
+            assert code == 2
+            error = json.loads(captured.err.strip().splitlines()[-1])["error"]
+            assert error["message"] == ("verify needs amplitude <= 0.05 "
+                                        "for a meaningful comparison")
+        # the limit is the amplitude above which Perturbation warns, inclusive
+        config["perturbation"]["amplitude"] = 0.05
         code, _, _ = run(tmp_path, capsys, "verify", config)
-        assert code == 2
+        assert code == 0
 
 
 class TestDesign:

@@ -127,14 +127,14 @@ class TestGa:
         cost = lambda trap: corridor_cost(trap, p)
         a = ga_minimize(p, system, cost, GaConfig(seed=42))
         b = ga_minimize(p, system, cost, GaConfig(seed=42))
-        assert np.array_equal(a.coefficients, b.coefficients)
+        assert np.array_equal(a.protocol.coefficients, b.protocol.coefficients)
         assert a.best_cost == b.best_cost and a.history == b.history
 
     def test_result_satisfies_constraints(self, params):
         p, system = self.make_system(params)
         result = ga_minimize(p, system, lambda trap: corridor_cost(trap, p),
                              GaConfig(seed=3))
-        assert system.residual(result.coefficients) < 1e-9
+        assert system.residual(result.protocol.coefficients) < 1e-9
 
     def test_finds_corridor_clean_trajectory(self, params):
         p, system = self.make_system(params)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stashuttle import (FirstOrderSolution, FourierSineProtocol, Perturbation,
-                        PhysicalParams, Polynomial5, excess_energy_exact,
-                        static_closed_form)
+                        PhysicalParams, Polynomial5, eval_perturbation,
+                        excess_energy_exact, static_closed_form)
 from stashuttle import perturbation, quadrature
 from stashuttle.perturbation import (LANE_NODES, eta_ratio, fourier_dynamical,
                                      fourier_static_freq, fourier_static_pos,
@@ -326,30 +326,20 @@ class TestLanes:
 
 class TestSecondOrderPosition:
     def test_zero_perturbation(self, params):
-        report = second_order_energy_pos(params, Polynomial5(params),
-                                         lambda t: np.zeros_like(t))
+        report = second_order_energy_pos(params, lambda t: np.zeros_like(t))
         assert report.total_quanta == 0.0
-
-    def test_protocol_independence(self, params):
-        pert = Perturbation.position_sine(TWO_PI * 5e6, 0.01)
-        base = second_order_energy_pos(params, Polynomial5(params), pert)
-        for seed in (0, 1):
-            other = FourierSineProtocol(params,
-                                        endpoint_constrained_coeffs(params, seed))
-            r = second_order_energy_pos(params, other, pert)
-            assert r.static_quanta == pytest.approx(base.static_quanta, rel=1e-12)
 
     def test_matches_fourier_form(self, params):
         for k in (9, 24):
             omega = k * np.pi / params.duration
             pert = Perturbation.position_sine(omega, 0.01)
-            report = second_order_energy_pos(params, Polynomial5(params), pert)
+            report = second_order_energy_pos(params, pert)
             want = fourier_static_pos(params, pert)
             assert report.static_quanta == pytest.approx(want, rel=1e-9)
 
     def test_purely_static(self, params):
         pert = Perturbation.position_sine(TWO_PI * 3e6, 0.01)
-        report = second_order_energy_pos(params, Polynomial5(params), pert)
+        report = second_order_energy_pos(params, pert)
         assert report.dynamical_quanta == 0.0
 
 
@@ -376,6 +366,33 @@ class TestFourierForms:
         direct = fourier_dynamical(params, proto, lambda t: np.sin(omega * t))
         split = fourier_dynamical(params, proto, pert)
         assert direct == pytest.approx(split, rel=1e-9)
+
+    def test_dynamical_sum_closed_form_matches_quadrature(self, params):
+        # the split into acceleration transforms at omega0 -/+ omega, with
+        # each component's phase, against quadrature of the same f(t)
+        proto = Polynomial5(params)
+        pert = Perturbation.frequency_sum(
+            [(TWO_PI * 3.1e6, 0.7, 1.0), (TWO_PI * 6.4e6, -1.9, 0.35)], 0.01)
+        closed = fourier_dynamical(params, proto, pert)
+        quad = fourier_dynamical(params, proto, lambda t: eval_perturbation(pert, t))
+        assert closed > 0.0
+        assert closed == pytest.approx(quad, rel=1e-9)
+
+    def test_static_freq_sum_closed_form_matches_quadrature(self, params):
+        T = params.duration
+        pert = Perturbation.frequency_sum(
+            [(9 * np.pi / T, 0.0, 1.0), (14 * np.pi / T, 0.0, -0.4)], 0.01)
+        closed = fourier_static_freq(params, pert)
+        quad = fourier_static_freq(params, lambda t: eval_perturbation(pert, t))
+        assert closed > 0.0
+        assert closed == pytest.approx(quad, rel=1e-9)
+
+    def test_static_pos_closed_form_matches_quadrature(self, params):
+        pert = Perturbation.position_sine(11 * np.pi / params.duration, 0.01)
+        closed = fourier_static_pos(params, pert)
+        quad = fourier_static_pos(params, lambda t: eval_perturbation(pert, t))
+        assert closed > 0.0
+        assert closed == pytest.approx(quad, rel=1e-9)
 
     def test_dynamical_suppressed_on_even_commensurate_grid(self, params):
         # on the omega0*T = 8*pi commensurate grid the acceleration transform
