@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -233,7 +234,13 @@ def _second_order(params: PhysicalParams, omega: float, variable: str, values,
 
 
 def cmd_scan(config: dict, out: str, seed: int | None) -> int:
-    params, pert, level, variable, values = _scan_inputs(config)
+    # the amplitude warning of Perturbation goes to stdout, so that stderr
+    # holds nothing but an error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        params, pert, level, variable, values = _scan_inputs(config)
+    for warning in caught:
+        echo("warning", str(warning.message))
     omega_pert = pert.components[0][0]
     echo_frequency("omega0", params.omega0)
     echo_frequency("omega", omega_pert)
@@ -261,7 +268,9 @@ def cmd_scan(config: dict, out: str, seed: int | None) -> int:
 
 
 def cmd_verify(config: dict, out: str, seed: int | None) -> int:
-    params, pert, level, variable, values = _scan_inputs(config)
+    # an amplitude that Perturbation warns about is the config error below
+    with warnings.catch_warnings(record=True):
+        params, pert, level, variable, values = _scan_inputs(config)
     if pert.amplitude > AMPLITUDE_WARN:
         raise ConfigError(f"verify needs amplitude <= {AMPLITUDE_WARN} "
                           "for a meaningful comparison")

@@ -54,12 +54,12 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class AuxiliarySolution:
-    """The auxiliary variables on a uniform grid over [0, T].
+    """The auxiliary variables at increasing times from t = 0.
 
     `solve_auxiliary` returns only the two points t = 0 and t = T.
     """
 
-    times: np.ndarray     # uniform, [0, T]
+    times: np.ndarray     # s, increasing from 0
     rho: np.ndarray       # dimensionless width factor
     rho_dot: np.ndarray   # 1/s
     qc: np.ndarray        # m
@@ -230,11 +230,10 @@ def solve_auxiliary(params: PhysicalParams, omega_of_t, trap: TrapTrajectory,
 
 def exact_energy(sol: AuxiliarySolution, params: PhysicalParams,
                  omega_T: float, Q_T: float, n: int = 0) -> EnergyQuanta:
-    """Exact mean energy at the solution endpoint for initial eigenstate n.
+    """Exact mean energy at the last time of `sol` for initial eigenstate n.
 
-    Also valid at intermediate times by passing a truncated solution; the
-    formula only consumes the endpoint values and the instantaneous trap
-    state (omega_T, Q_T).
+    The formula consumes only the last values of `sol` and the trap state
+    (omega_T, Q_T) at that time.
     """
     rho, rhod = sol.rho[-1], sol.rho_dot[-1]
     qc, qcd = sol.qc[-1], sol.qc_dot[-1]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import CORRIDOR_MIN_SAMPLES
 from .design import AnsatzSystem, DesignError
-from .dynamics import TrapTrajectory, perturbed_frequency, trap_from_classical
+from .dynamics import TrapTrajectory, perturbed_frequency
 from .model import (FourierSineProtocol, Perturbation, PhysicalParams,
                     Protocol, ProtocolKind, eval_perturbation, row_blocks)
 
@@ -125,8 +125,10 @@ def ga_minimize(params: PhysicalParams, system: AnsatzSystem, cost,
     improvement.  Identical seeds give bit-identical results.
 
     `cost` is called once per generation with the trap path of the whole
-    population: `trap(t)` has shape (population, samples), and `cost` returns
-    one cost per candidate or a scalar that applies to every candidate.
+    population: `trap(t)` has shape (population, *t.shape), and `cost` returns
+    one cost per candidate or a scalar that applies to every candidate.  Those
+    paths are sums of nullspace paths, which round differently from the
+    result's path, built from its coefficients, by about 2e-15 d.
     """
     particular, basis = nullspace_parametrize(system)
     dim = basis.shape[1]
@@ -136,17 +138,30 @@ def ga_minimize(params: PhysicalParams, system: AnsatzSystem, cost,
     spread = float(np.linalg.norm(particular))
     sigma_mut = MUTATION_SCALE * spread
 
+    # a candidate's path is linear in its coordinates: the path of the
+    # particular solution plus z_i times the path of basis column i.  These
+    # 1 + dim paths are evaluated once per sample grid, of which the last one
+    # is kept as a copy, so a generation's paths are one matrix product
+    paths = FourierSineProtocol(params, np.vstack([particular, basis.T]))
+    grid = grid_paths = None   # last sample grid and the 1 + dim paths on it
+
+    def population_trap(weights: np.ndarray) -> TrapTrajectory:
+        def fn(t):
+            nonlocal grid, grid_paths
+            if grid is None or not np.array_equal(grid, t):
+                grid, grid_paths = t.copy(), paths.trap_path(t).reshape(1 + dim, -1)
+            return (weights @ grid_paths).reshape(weights.shape[:1] + t.shape)
+
+        return TrapTrajectory(fn)
+
     pop = rng.normal(0.0, spread, (cfg.population, dim))
     best_z = pop[0].copy()
     best_cost = np.inf
     history: list[float] = []
     stall = 0
     for generation in range(cfg.generations):
-        # one matrix-vector product per candidate, the same arithmetic as
-        # the coefficients of the result below
-        coeffs = particular + np.matmul(basis, pop[:, :, None])[:, :, 0]
-        trap = trap_from_classical(FourierSineProtocol(params, coeffs), params)
-        costs = np.broadcast_to(cost(trap), (cfg.population,))
+        weights = np.hstack([np.ones((cfg.population, 1)), pop])
+        costs = np.broadcast_to(cost(population_trap(weights)), (cfg.population,))
         leader = int(np.argmin(costs))
         if costs[leader] < best_cost:
             best_cost = float(costs[leader])

@@ -59,16 +59,41 @@ def parse_echo(stdout):
     return values
 
 
-def test_import_leaves_scipy_out():
-    # scipy costs about half a second and 45 MB of every CLI run; only
-    # TabulatedProtocol needs it, and imports it when built
+def python(*args, check=True):
+    """Run a fresh interpreter that imports this checkout's stashuttle."""
     src = str(Path(stashuttle.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60, check=check)
+
+
+def test_import_leaves_scipy_out():
+    # scipy costs about half a second and 45 MB of every CLI run; only
+    # TabulatedProtocol needs it, and imports it when built
     code = "import sys, stashuttle.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    assert python("-c", code).stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["scan", "verify"])
+def test_amplitude_warning_leaves_stderr_to_errors(tmp_path, command):
+    # in a fresh interpreter, as a user runs it: pytest records warnings, so
+    # an in-process run cannot see one reach stderr
+    config = base_config(scan={"variable": "omega", "points": 1,
+                               "min": {"value": 2.0, "unit": "two_pi_mhz"}})
+    config["perturbation"]["amplitude"] = 0.06
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    done = python("-m", "stashuttle.cli", command, "--config", str(cfg_path),
+                  "--out", str(tmp_path / "out.csv"), check=False)
+    if command == "scan":
+        assert done.returncode == 0 and done.stderr == ""
+        assert parse_echo(done.stdout)["warning"] == (
+            "amplitude 0.06 > 0.05: perturbative accuracy degraded")
+    else:
+        assert done.returncode == 2 and done.stdout == ""
+        [line] = done.stderr.splitlines()
+        assert json.loads(line)["error"]["kind"] == "config"
 
 
 class TestScan:

@@ -155,6 +155,57 @@ class TestGa:
         assert result.generations_used == 7
         assert shapes == [(64, 1001)] * 7
 
+    def test_population_rows_match_coefficient_paths(self, params):
+        # the ranked paths are sums of nullspace paths; each row is the path
+        # of its candidate's coefficients up to rounding.  The first
+        # generation is drawn here as ga_minimize draws it
+        p, system = self.make_system(params)
+        cfg = GaConfig(seed=9, generations=1)
+        particular, basis = nullspace_parametrize(system)
+        z = np.random.default_rng(cfg.seed).normal(
+            0.0, np.linalg.norm(particular), (cfg.population, basis.shape[1]))
+        t = np.linspace(0.0, p.duration, 1001)
+        paths = []
+        ga_minimize(p, system, lambda trap: paths.append(trap(t)) or 1.0, cfg)
+        [Q] = paths
+        for row, coeffs in zip(Q, particular + z @ basis.T):
+            want = FourierSineProtocol(p, coeffs).trap_path(t)
+            assert np.max(np.abs(row - want)) <= 1e-13 * p.distance
+
+    def test_population_paths_follow_the_grid(self, params):
+        # grids of one size or one set of values, taken in turn within and
+        # across generations, each get their own paths
+        p, system = self.make_system(params)
+        grid = np.linspace(0.0, p.duration, 1001)
+        reverse, blocks = grid[::-1].copy(), grid.reshape(11, 91)
+        calls = []
+
+        def cost(trap):
+            order = [grid, reverse, blocks] if len(calls) % 2 else [reverse, blocks, grid]
+            Q = {id(t): trap(t) for t in order}
+            forward = Q[id(grid)]
+            assert np.max(np.abs(Q[id(reverse)] - forward[:, ::-1])) <= 1e-13 * p.distance
+            assert np.array_equal(Q[id(blocks)], forward.reshape(-1, 11, 91))
+            calls.append(forward)
+            return np.arange(len(forward), 0, -1.0)  # never zero: every generation runs
+
+        ga_minimize(p, system, cost, GaConfig(seed=9, generations=6))
+        assert len(calls) == 6
+        assert not np.array_equal(calls[0], calls[-1])
+
+    def test_grid_changed_after_a_call_is_not_cached(self, params):
+        p, system = self.make_system(params)
+
+        def cost(trap):
+            t = np.linspace(0.0, p.duration, 1001)
+            forward = trap(t)
+            t[:] = t[::-1].copy()   # the caller reuses its array for a new grid
+            assert np.max(np.abs(trap(t) - forward[:, ::-1])) <= 1e-13 * p.distance
+            return np.arange(len(forward), 0, -1.0)
+
+        result = ga_minimize(p, system, cost, GaConfig(seed=9, generations=3))
+        assert result.generations_used == 3
+
     def test_no_nullspace_is_an_error(self, params):
         system = assemble_system(params, DesignConstraints(targets=(TWO_PI * 5e6,)))
         with pytest.raises(DesignError, match="nothing to optimize"):
