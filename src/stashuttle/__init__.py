@@ -13,7 +13,7 @@ from .analysis import (CommensurateClass, ConditionKind, PoleError,
                        classify_commensurate, corridor_check, crossing_time,
                        envelope_dynamical, envelope_static, fourier_projection,
                        static_closed_form)
-from .design import (AnsatzSystem, AuxFunctionSpec, DesignConstraints,
+from .design import (AnsatzSystem, DesignConstraints,
                      DesignError, design_aux_multi, design_aux_single,
                      design_fourier, mode_overlap_integral, target_integral)
 from .dynamics import (AuxiliarySolution, IntegrationError, TrapTrajectory,
@@ -21,7 +21,7 @@ from .dynamics import (AuxiliarySolution, IntegrationError, TrapTrajectory,
                        solve_auxiliary, trap_from_classical)
 from .model import (EnergyQuanta, FourierSineProtocol, Perturbation,
                     PerturbationKind, PhysicalParams, Polynomial5,
-                    PolynomialTrajectory, Protocol, ProtocolKind,
+                    PolynomialTrajectory, Protocol,
                     TabulatedProtocol, ValidationReport, eval_perturbation,
                     validate)
 from .optimize import (GaConfig, GaResult, OctExtremalProtocol, OctSolution,

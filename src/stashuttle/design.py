@@ -42,15 +42,6 @@ def target_integral(params: PhysicalParams, proto: Protocol, omega: float) -> co
 
 # -- auxiliary-function designer ---------------------------------------------
 
-@dataclass(frozen=True)
-class AuxFunctionSpec:
-    """Record of an auxiliary-function design: targets, edge order, normalization."""
-
-    frequencies: tuple[float, ...]
-    edge_exponent: int        # 4p+1 zeros of the auxiliary function at each edge
-    normalization: float      # overall amplitude fixed by the endpoint position
-
-
 def _design_aux(params: PhysicalParams, omegas: tuple[float, ...]) -> PolynomialTrajectory:
     w0, T, d = params.omega0, params.duration, params.distance
     p = len(omegas)
@@ -80,11 +71,7 @@ def _design_aux(params: PhysicalParams, omegas: tuple[float, ...]) -> Polynomial
         accel = accel + elementary * g.deriv(4 * p - 2 * j)
 
     proto = PolynomialTrajectory(params, accel, 1.0)
-    end_position = float(proto.position(T))
-    amplitude = d / end_position
-    proto = PolynomialTrajectory(params, accel, amplitude)
-    proto.design = AuxFunctionSpec(tuple(omegas), edge, amplitude)
-    return proto
+    return PolynomialTrajectory(params, accel, d / float(proto.position(T)))
 
 
 def design_aux_single(params: PhysicalParams, omega: float) -> Protocol:

@@ -8,6 +8,7 @@ their evaluators are pure.
 from __future__ import annotations
 
 import enum
+import sys
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -66,6 +67,20 @@ class PerturbationKind(enum.Enum):
 _FREQUENCY_KINDS = {PerturbationKind.FREQUENCY_SINE, PerturbationKind.FREQUENCY_SUM}
 
 
+def _caller_stacklevel() -> int:
+    """`stacklevel` of a warning raised in this module that names its first outside caller.
+
+    The frames skipped are this module's, the `__init__` that dataclass
+    generates among them (it runs in the module's globals), so a warning
+    names the same caller line whether a constructor is called directly or
+    through a classmethod.
+    """
+    level, frame = 1, sys._getframe(1)
+    while frame.f_globals.get("__name__") == __name__:
+        level, frame = level + 1, frame.f_back
+    return level
+
+
 @dataclass(frozen=True)
 class Perturbation:
     """Dimensionless perturbation of the trap frequency or the trap position.
@@ -88,7 +103,7 @@ class Perturbation:
         if self.amplitude > AMPLITUDE_WARN:
             warnings.warn(
                 f"amplitude {self.amplitude} > {AMPLITUDE_WARN}: perturbative accuracy degraded",
-                stacklevel=3)
+                stacklevel=_caller_stacklevel())
         if self.kind is PerturbationKind.FREQUENCY_SINE:
             if len(self.components) != 1 or self.components[0][1] != 0.0 \
                     or self.components[0][2] != 1.0:
@@ -153,14 +168,6 @@ def validate(params: PhysicalParams) -> ValidationReport:
 
 # -- shuttling protocols ----------------------------------------------------
 
-class ProtocolKind(enum.Enum):
-    POLYNOMIAL5 = "polynomial5"
-    FOURIER_SINE = "fourier_sine"
-    AUX_FUNCTION = "aux_function"
-    OCT_EXTREMAL = "oct_extremal"
-    TABULATED = "tabulated"
-
-
 @dataclass(frozen=True)
 class BoundaryReport:
     position_start: float
@@ -179,7 +186,9 @@ class Protocol(ABC):
     [0, duration], vectorized over numpy arrays.
     """
 
-    kind: ProtocolKind
+    # True when the acceleration jumps at the endpoints by design, which
+    # exempts it from the boundary-condition contract
+    edge_jumps = False
 
     def __init__(self, params: PhysicalParams):
         self.params = params
@@ -210,8 +219,7 @@ class Protocol(ABC):
                float(self.acceleration(T)))
         scales = (d, d / T, d / T**2, d, d / T, d / T**2)
         checks = [abs(r) <= rtol * s for r, s in zip(res, scales)]
-        if self.kind is ProtocolKind.OCT_EXTREMAL:
-            # extremal controls jump at the endpoints; acceleration is exempt
+        if self.edge_jumps:
             checks[2] = checks[5] = True
         return BoundaryReport(*res, ok=all(checks))
 
@@ -222,8 +230,6 @@ class Protocol(ABC):
 
 class Polynomial5(Protocol):
     """Lowest-order polynomial satisfying all six rest-to-rest boundary conditions."""
-
-    kind = ProtocolKind.POLYNOMIAL5
 
     def position(self, t):
         s = np.asarray(t, dtype=float) / self.params.duration
@@ -262,8 +268,6 @@ class FourierSineProtocol(Protocol):
     A (rows, terms) coefficient matrix describes `rows` trajectories at once;
     the evaluators then return one row per trajectory, shape (rows, *t.shape).
     """
-
-    kind = ProtocolKind.FOURIER_SINE
 
     def __init__(self, params: PhysicalParams, coefficients):
         super().__init__(params)
@@ -329,8 +333,6 @@ class PolynomialTrajectory(Protocol):
     q''(t) = amplitude * accel_poly(v).
     """
 
-    kind = ProtocolKind.AUX_FUNCTION
-
     def __init__(self, params: PhysicalParams, accel_poly: Polynomial, amplitude: float):
         super().__init__(params)
         self._accel = accel_poly
@@ -355,8 +357,6 @@ class PolynomialTrajectory(Protocol):
 
 class TabulatedProtocol(Protocol):
     """Cubic-spline trajectory through uniform position samples on [0, T]."""
-
-    kind = ProtocolKind.TABULATED
 
     def __init__(self, params: PhysicalParams, positions):
         # imported here so that scipy stays off the import path of the package

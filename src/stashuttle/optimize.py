@@ -11,6 +11,7 @@ potential energy; its control is linear in four costate constants, which a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .analysis import CORRIDOR_MIN_SAMPLES
 from .design import AnsatzSystem, DesignError
 from .dynamics import TrapTrajectory, perturbed_frequency
 from .model import (FourierSineProtocol, Perturbation, PhysicalParams,
-                    Protocol, ProtocolKind, eval_perturbation, row_blocks)
+                    Protocol, eval_perturbation, row_blocks)
 
 __all__ = [
     "GaConfig", "GaResult", "OctSolution", "SingularSystemError",
@@ -28,6 +29,9 @@ __all__ = [
 
 
 OCT_MIN_STEPS = 2000          # fewest output-grid intervals of oct_solve
+# grid intervals per pass of oct_solve: 8192 Gauss nodes, 64 KiB per float64
+# array, the sizing of dynamics.BLOCK_STEPS
+OCT_BLOCK = 1024
 
 # fixed operators of the genetic search
 CROSSOVER_RATE = 0.9          # chance that a pair of parents is blended
@@ -320,7 +324,7 @@ class OctExtremalProtocol(Protocol):
     (exempted from the boundary-condition contract).
     """
 
-    kind = ProtocolKind.OCT_EXTREMAL
+    edge_jumps = True
 
     def __init__(self, params: PhysicalParams, solution: "OctSolution"):
         super().__init__(params)
@@ -344,13 +348,13 @@ class OctSolution:
     omega: float
     constants: np.ndarray     # costate constants c1..c4
     times: np.ndarray         # output grid, n_steps intervals over [0, T]
-    x: np.ndarray             # (4, n+1): trajectory, velocity, first-order pair
     u: np.ndarray             # control samples on `times`, meters
     e_bar: float              # time-averaged dynamical potential energy, joules
     jump_start: float         # |u(0)|: trap-path discontinuity at t=0, meters
     jump_end: float           # |u(T)|: discontinuity at t=T, meters
     endpoint_residual: float  # |x(T) - (d,0,0,0)| after the probe solve
-    # cumulative panel sums of the states on `times`, built by the first `states`
+    # cumulative panel sums of the states on `times`, built by the first read
+    # of `x` or `states`
     _grid: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def control(self, t):
@@ -362,17 +366,26 @@ class OctSolution:
         p4 = c3 * np.cos(w0 * t) + c4 * np.sin(w0 * t)
         return -(p2 + 2.0 * np.sin(self.omega * t) * p4)
 
+    def _state_sums(self) -> list:
+        if self._grid is None:
+            self._grid = _grid_sums(_extremal_oscillators(self.params, self.omega),
+                                    self.control, self.times)
+        return self._grid
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        """(4, n+1) states on `times`: trajectory, velocity, first-order pair."""
+        return _extremal_states(self.params, self.omega, self.control, self.times,
+                                grid=self._state_sums())
+
     def states(self, t):
         """Exact states x1..x4 at any t in [0, T], shape (4, *t.shape).
 
         The grid sums are built once per solution; after that a call
         evaluates the control on one partial panel per point of `t`.
         """
-        if self._grid is None:
-            self._grid = _grid_sums(_extremal_oscillators(self.params, self.omega),
-                                    self.control, self.times)
         return _extremal_states(self.params, self.omega, self.control, self.times, t,
-                                self._grid)
+                                self._state_sums())
 
     def trap_trajectory(self) -> TrapTrajectory:
         """Trap path x1 - u inside (0, T), clamped to the endpoints outside."""
@@ -397,14 +410,49 @@ def _control_basis(omega: float, w0: float, t: np.ndarray) -> np.ndarray:
                      -2.0 * sw * np.sin(w0 * t)])
 
 
+def _control_gram(omega: float, w0: float, times: np.ndarray) -> np.ndarray:
+    """Gram matrix G_ij = int b_i b_j dt of the control basis over the grid `times`.
+
+    One Gauss-Legendre panel per interval, OCT_BLOCK intervals per pass, so
+    the nodes, the trig arrays and each basis row of a pass stay 64 KiB.
+    """
+    gram = np.zeros((4, 4))
+    n = times.size - 1
+    for lo in range(0, n, OCT_BLOCK):
+        hi = min(lo + OCT_BLOCK, n)
+        nodes, weights = _gauss_panels(times[lo:hi], times[lo + 1:hi + 1])
+        basis = _control_basis(omega, w0, nodes.ravel())
+        gram += (basis * weights.ravel()) @ basis.T
+    return gram
+
+
+def _endpoint_map(params: PhysicalParams, gram: np.ndarray) -> np.ndarray:
+    """States at T (rows) of the four unit costate probes (columns), from their Gram matrix.
+
+    The quadrature-weighted drives of the two extremal oscillators, -w0^2 w
+    against (1, s) and -2 w0^2 w sin(omega s) against (cos w0 s, sin w0 s),
+    are w0^2 w times the basis rows (1, 0) and (2, 3).  So the sums (p, q)
+    that `_oscillator_states` takes for probe i are w0^2 G[i, (1, 0)] and
+    w0^2 G[i, (2, 3)]: as for any minimum-energy control, the endpoint map
+    is the Gram matrix rearranged.
+    """
+    T, w0 = params.duration, params.omega0
+    sums = w0**2 * gram
+    x1, x2 = _oscillator_states(0.0, sums[:, [1, 0]].T, T)
+    x3, x4 = _oscillator_states(w0, sums[:, [2, 3]].T, T)
+    return np.stack([x1, x2, x3, x4])
+
+
 def oct_solve(params: PhysicalParams, omega: float,
               n_steps: int = 8000) -> OctSolution:
     """Extremal of the averaged dynamical potential energy for a sine error at omega.
 
-    The state system is linear, so the states of the four unit costate probes,
-    summed by Gauss-Legendre quadrature over the `n_steps` intervals of the
-    output grid, give the 4x4 endpoint map; solving it for the constants makes
-    the solution's states the same combination of the probe states.
+    The state system is linear in the four costate constants, and both its
+    endpoint map and the energy integral of u^2 are contractions of the Gram
+    matrix of the control basis, summed by Gauss-Legendre quadrature over the
+    `n_steps` intervals of the output grid in one blocked pass.  Solving the
+    4x4 endpoint map fixes the constants; the states on the grid are built
+    from the solution's own control only when `x` or `states` is read.
     """
     if omega <= 0:
         raise ValueError("omega > 0 required")
@@ -412,9 +460,8 @@ def oct_solve(params: PhysicalParams, omega: float,
         raise ValueError(f"n_steps >= {OCT_MIN_STEPS} required")
     T, d, w0 = params.duration, params.distance, params.omega0
     times = np.linspace(0.0, T, n_steps + 1)
-    probes = _extremal_states(params, omega, lambda s: _control_basis(omega, w0, s),
-                              times)
-    endpoint = probes[:, :, -1]
+    gram = _control_gram(omega, w0, times)
+    endpoint = _endpoint_map(params, gram)
 
     target = np.array([d, 0.0, 0.0, 0.0])
     # equilibrate rows and columns so the conditioning check sees the geometry
@@ -431,14 +478,10 @@ def oct_solve(params: PhysicalParams, omega: float,
     constants = col_scale * np.linalg.solve(scaled, target * row_scale)
     residual = float(np.linalg.norm(endpoint @ constants - target))
 
-    def control(s):
-        return np.tensordot(constants, _control_basis(omega, w0, s), axes=1)
-
-    u = control(times)
-    nodes, weights = _gauss_panels(times[:-1], times[1:])
-    e_bar = params.mass * w0**2 / 2.0 * float(np.sum(weights * control(nodes)**2)) / T
+    u = constants @ _control_basis(omega, w0, times)
+    e_bar = params.mass * w0**2 / 2.0 * float(constants @ gram @ constants) / T
     return OctSolution(params=params, omega=omega, constants=constants,
-                       times=times, x=constants @ probes, u=u, e_bar=e_bar,
+                       times=times, u=u, e_bar=e_bar,
                        jump_start=abs(float(u[0])), jump_end=abs(float(u[-1])),
                        endpoint_residual=residual)
 

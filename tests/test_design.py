@@ -102,9 +102,14 @@ class TestAuxMulti:
 
         targets = [TWO_PI * (5e6 + k * 2e5) for k in range(n_freqs)]
         proto = design_aux_multi(params, targets)
-        assert proto.design.frequencies == tuple(targets)
-        edge = proto.design.edge_exponent
-        assert edge == 4 * n_freqs + 1
+        edge = 4 * n_freqs + 1
+        # the acceleration is a differential operator of order 4p applied to
+        # g, whose degree 2*edge + 1 it keeps through the undifferentiated
+        # term; it vanishes at both edges with g's first 4p derivatives
+        accel = proto._accel
+        assert accel.degree() == 2 * edge + 1
+        scale = np.abs(accel.coef).sum()
+        assert abs(accel(-0.5)) < 1e-15 * scale and abs(accel(0.5)) < 1e-15 * scale
         g = Polynomial([0.0, 1.0]) * Polynomial([-0.25, 0.0, 1.0]) ** edge
         for order in range(4 * n_freqs + 1):
             der = g.deriv(order) if order else g

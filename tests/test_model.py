@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from stashuttle import (FourierSineProtocol, Perturbation, PhysicalParams,
-                        Polynomial5, TabulatedProtocol, eval_perturbation,
-                        validate)
+from stashuttle import (FourierSineProtocol, Perturbation, PerturbationKind,
+                        PhysicalParams, Polynomial5, TabulatedProtocol,
+                        eval_perturbation, validate)
 
 
 class TestEvalPerturbation:
@@ -47,6 +47,21 @@ class TestPerturbationInvariants:
     def test_amplitude_warning(self):
         with pytest.warns(UserWarning, match="perturbative accuracy"):
             Perturbation.frequency_sine(1e6, 0.1)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Perturbation(PerturbationKind.FREQUENCY_SINE, 0.1, ((1e6, 0.0, 1.0),)),
+        lambda: Perturbation.frequency_sine(1e6, 0.1),
+        lambda: Perturbation.frequency_sum([(1e6, 0.5, 2.0)], 0.1),
+        lambda: Perturbation.position_sine(1e6, 0.1),
+    ], ids=["direct", "frequency_sine", "frequency_sum", "position_sine"])
+    def test_amplitude_warning_names_the_caller(self, build):
+        # the warning points at the line that built the perturbation, here
+        # the lambda, whether it called the class or a classmethod
+        with pytest.warns(UserWarning, match="perturbative accuracy") as record:
+            build()
+        assert len(record) == 1
+        assert record[0].filename == __file__
+        assert record[0].lineno == build.__code__.co_firstlineno
 
     def test_zero_amplitude_is_the_unperturbed_limit(self):
         p = Perturbation.frequency_sine(1e6, 0.0)

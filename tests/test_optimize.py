@@ -9,8 +9,8 @@ from stashuttle import (DesignConstraints, DesignError, FourierSineProtocol,
                         avg_dynamical_potential, corridor_cost, design_fourier, ga_minimize,
                         nullspace_parametrize, oct_solve, trap_from_classical)
 from stashuttle.design import assemble_system
-from stashuttle.optimize import (_control_basis, _driven_oscillators, _extremal_states,
-                                 _grid_sums)
+from stashuttle.optimize import (_control_basis, _control_gram, _driven_oscillators,
+                                 _endpoint_map, _extremal_states, _gauss_panels, _grid_sums)
 from test_dynamics import reference_solve_auxiliary
 
 TWO_PI = 2 * np.pi
@@ -260,6 +260,47 @@ class TestOctSolve:
         assert abs(final[3]) <= 1e-8 * d / params.duration
         # residual mixes m and m/s components; bound it loosely in meters
         assert sol.endpoint_residual <= 1e-6 * d
+
+    @pytest.mark.parametrize("omega", [TWO_PI * 5e6, TWO_PI * 2.3e6])
+    def test_endpoint_map_matches_the_probe_states(self, params, omega):
+        # the blocked Gram contraction (3001 intervals: two full blocks and a
+        # partial one) against the endpoint states of the four unit costate
+        # probes, each row to 1e-10 of its largest entry
+        times = np.linspace(0.0, params.duration, 3002)
+        probes = _extremal_states(params, omega,
+                                  lambda s: _control_basis(omega, params.omega0, s), times)
+        want = probes[:, :, -1]
+        got = _endpoint_map(params, _control_gram(omega, params.omega0, times))
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want).max(axis=1, keepdims=True))
+
+    def test_gram_energy_matches_the_node_sum(self, params):
+        sol = oct_solve(params, TWO_PI * 5e6, n_steps=3000)
+        nodes, weights = _gauss_panels(sol.times[:-1], sol.times[1:])
+        u_squared = np.sum(weights * sol.control(nodes) ** 2)
+        direct = params.mass * params.omega0**2 / 2.0 * u_squared / params.duration
+        assert sol.e_bar == pytest.approx(direct, rel=1e-10, abs=0.0)
+
+    def test_states_are_built_on_demand(self, params):
+        # a sweep reads e_bar only: the solve builds no grid states, and the
+        # first read of x builds them from the solution's own control
+        sol = oct_solve(params, TWO_PI * 5e6, n_steps=3000)
+        assert sol._grid is None and "x" not in vars(sol)
+        x = sol.x
+        assert sol._grid is not None and sol.x is x
+        d, T = params.distance, params.duration
+        at = sol.states(sol.times)
+        for k, scale in enumerate([d, d / T, d, d / T]):
+            assert np.allclose(x[k], at[k], rtol=0, atol=1e-12 * scale)
+        other = oct_solve(params, TWO_PI * 5e6, n_steps=3000)
+        other.states(0.5 * T)
+        assert other._grid is not None and "x" not in vars(other)
+
+    def test_protocol_exempts_the_edge_jumps(self, params):
+        protocol = oct_solve(params, TWO_PI * 5e6, n_steps=3000).protocol()
+        assert protocol.edge_jumps and not Polynomial5(params).edge_jumps
+        report = protocol.boundary_report(rtol=1e-8)
+        assert abs(report.acceleration_start) > 1e-3 * params.distance / params.duration**2
+        assert report.ok
 
     def test_control_formula_consistency(self, params):
         sol = oct_solve(params, TWO_PI * 5e6, n_steps=4000)
