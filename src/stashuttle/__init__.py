@@ -13,12 +13,11 @@ from .analysis import (CommensurateClass, ConditionKind, PoleError,
                        classify_commensurate, corridor_check, crossing_time,
                        envelope_dynamical, envelope_static, fourier_projection,
                        static_closed_form)
-from .design import (AnsatzSystem, DesignConstraints,
-                     DesignError, design_aux_multi, design_aux_single,
+from .design import (AnsatzSystem, DesignConstraints, DesignError, design_aux,
                      design_fourier, mode_overlap_integral, target_integral)
-from .dynamics import (AuxiliarySolution, IntegrationError, TrapTrajectory,
-                       exact_energy, excess_energy_exact, shifted_trap,
-                       solve_auxiliary, trap_from_classical)
+from .dynamics import (AuxiliarySolution, IntegrationError, exact_energy,
+                       excess_energy_exact, shifted_trap, solve_auxiliary,
+                       trap_from_classical)
 from .model import (EnergyQuanta, FourierSineProtocol, Perturbation,
                     PerturbationKind, PhysicalParams, Polynomial5,
                     PolynomialTrajectory, Protocol,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TrapTrajectory
 from .model import PhysicalParams, Polynomial5
 from .quadrature import adaptive_quad, oscillation_panels
 
@@ -146,9 +145,9 @@ def fourier_projection(params: PhysicalParams, K: int) -> float:
     return abs(complex(value))
 
 
-def corridor_check(trap: TrapTrajectory, params: PhysicalParams,
+def corridor_check(trap, params: PhysicalParams,
                    n_samples: int = 2001) -> tuple[float, float]:
-    """Extremal excursions of the trap path outside [0, d]: (above d, below 0), meters.
+    """Extremal excursions of the trap path Q(t) outside [0, d]: (above d, below 0), meters.
 
     Samples a uniform closed grid; the symmetric grid preserves the edge
     symmetry of the polynomial protocol's overshoot.

@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__
 from .analysis import (CORRIDOR_MIN_SAMPLES, PoleError, corridor_check,
                        envelope_dynamical, envelope_static)
-from .design import (DesignConstraints, DesignError, design_aux_multi,
-                     design_aux_single, design_fourier, target_integral)
+from .design import (DesignConstraints, DesignError, design_aux, design_fourier,
+                     target_integral)
 from .dynamics import (IntegrationError, excess_energy_exact,
                        trap_from_classical)
 from .model import AMPLITUDE_WARN, Perturbation, PhysicalParams, Polynomial5, validate
@@ -313,9 +313,7 @@ def _design_protocol(config: dict, params: PhysicalParams):
     if not targets:
         raise ConfigError("design.targets must list at least one frequency")
     if method == "aux":
-        proto = (design_aux_single(params, targets[0]) if len(targets) == 1
-                 else design_aux_multi(params, targets))
-        return proto, None, targets
+        return design_aux(params, targets), None, targets
     if 0.0 in targets:
         # the imaginary part of I(omega) vanishes for every path at omega = 0,
         # which leaves an all-zero row in the constraint system
@@ -363,7 +361,7 @@ def cmd_design(config: dict, out: str, seed: int | None) -> int:
     above, below = corridor_check(trap_from_classical(proto, params), params)
     echo("corridor_above_m", above)
     echo("corridor_below_m", below)
-    echo("endpoint_compliant", proto.endpoint_compliant)
+    echo("endpoint_compliant", proto.boundary_report().ok)
     return EXIT_OK
 
 

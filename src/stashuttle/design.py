@@ -42,7 +42,14 @@ def target_integral(params: PhysicalParams, proto: Protocol, omega: float) -> co
 
 # -- auxiliary-function designer ---------------------------------------------
 
-def _design_aux(params: PhysicalParams, omegas: tuple[float, ...]) -> PolynomialTrajectory:
+def design_aux(params: PhysicalParams, omegas) -> PolynomialTrajectory:
+    """Trajectory whose acceleration transform vanishes at omega0 -/+ omega for each target.
+
+    The auxiliary function gains 4 more vanishing endpoint derivatives per
+    added frequency; picking the targets close together flattens the
+    excitation across the enclosed window.
+    """
+    omegas = tuple(float(w) for w in omegas)
     w0, T, d = params.omega0, params.duration, params.distance
     p = len(omegas)
     if len(set(omegas)) != p:
@@ -72,21 +79,6 @@ def _design_aux(params: PhysicalParams, omegas: tuple[float, ...]) -> Polynomial
 
     proto = PolynomialTrajectory(params, accel, 1.0)
     return PolynomialTrajectory(params, accel, d / float(proto.position(T)))
-
-
-def design_aux_single(params: PhysicalParams, omega: float) -> Protocol:
-    """Trajectory whose acceleration transform vanishes at omega0 - omega and omega0 + omega."""
-    return _design_aux(params, (float(omega),))
-
-
-def design_aux_multi(params: PhysicalParams, omegas) -> Protocol:
-    """Generalized design zeroing the overlap integral at several frequencies.
-
-    The auxiliary function gains 4 more vanishing endpoint derivatives per
-    added frequency; picking the targets close together flattens the
-    excitation across the enclosed window.
-    """
-    return _design_aux(params, tuple(float(w) for w in omegas))
 
 
 # -- sine-series (linear system) designer -------------------------------------

@@ -54,30 +54,16 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class AuxiliarySolution:
-    """The auxiliary variables at increasing times from t = 0.
+    """The auxiliary variables at t = T, from rho = 1 and qc = 0 at rest at t = 0."""
 
-    `solve_auxiliary` returns only the two points t = 0 and t = T.
-    """
-
-    times: np.ndarray     # s, increasing from 0
-    rho: np.ndarray       # dimensionless width factor
-    rho_dot: np.ndarray   # 1/s
-    qc: np.ndarray        # m
-    qc_dot: np.ndarray    # m/s
+    rho: float       # dimensionless width factor
+    rho_dot: float   # 1/s
+    qc: float        # m
+    qc_dot: float    # m/s
 
 
-class TrapTrajectory:
-    """Evaluator for the trap center Q(t)."""
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def __call__(self, t):
-        return self._fn(np.asarray(t, dtype=float))
-
-
-def trap_from_classical(proto: Protocol, params: PhysicalParams) -> TrapTrajectory:
-    """Inverse-engineered ideal trap path for constant trap frequency.
+def trap_from_classical(proto: Protocol, params: PhysicalParams):
+    """Inverse-engineered ideal trap path Q0(t) for constant trap frequency.
 
     Q0(t) = q(t) + q''(t)/omega0^2, which drives the given classical
     trajectory exactly when the frequency stays at omega0.  omega0 is read
@@ -86,11 +72,10 @@ def trap_from_classical(proto: Protocol, params: PhysicalParams) -> TrapTrajecto
     if params.omega0 != proto.params.omega0:
         raise ValueError(f"params.omega0 = {params.omega0!r} differs from the "
                          f"protocol's omega0 = {proto.params.omega0!r}")
-    return TrapTrajectory(proto.trap_path)
+    return proto.trap_path
 
 
-def shifted_trap(trap: TrapTrajectory, pert: Perturbation,
-                 params: PhysicalParams) -> TrapTrajectory:
+def shifted_trap(trap, pert: Perturbation, params: PhysicalParams):
     """Trap path with a position perturbation applied: Q0 + amplitude*d*h(t)."""
     if not pert.is_position:
         raise ValueError("shifted_trap expects a position perturbation")
@@ -99,7 +84,7 @@ def shifted_trap(trap: TrapTrajectory, pert: Perturbation,
     def fn(t):
         return trap(t) + amp_d * eval_perturbation(pert, t)
 
-    return TrapTrajectory(fn)
+    return fn
 
 
 def _reject_first(bad: np.ndarray, tg: np.ndarray, what: str) -> None:
@@ -152,8 +137,7 @@ def _ordered_product(maps: tuple, total: tuple) -> tuple:
     return total
 
 
-def _monodromy(params: PhysicalParams, omega_of_t, trap: TrapTrajectory,
-               n_steps: int) -> tuple:
+def _monodromy(params: PhysicalParams, omega_of_t, trap, n_steps: int) -> tuple:
     """Map of (u, u', 1) from 0 to T under u'' + Omega^2 u = Omega^2 Q, in CF4 steps.
 
     Each step multiplies two closed-form exponentials built from Omega^2 and
@@ -192,21 +176,21 @@ def _monodromy(params: PhysicalParams, omega_of_t, trap: TrapTrajectory,
     return total
 
 
-def solve_auxiliary(params: PhysicalParams, omega_of_t, trap: TrapTrajectory,
+def solve_auxiliary(params: PhysicalParams, omega_of_t, trap,
                     n_steps: int = DEFAULT_STEPS) -> AuxiliarySolution:
     """Endpoint values of the width and trajectory at T from the rest initial conditions.
 
-    The result holds the two points t = 0 and t = T.  rho^2 = u1^2 + u2^2,
-    where u1 and u2 solve u'' + Omega^2 u = 0 with u1(0) = 1, u1'(0) = 0,
-    u2(0) = 0 and u2'(0) = omega0; the trajectory rides in the same map.
+    rho^2 = u1^2 + u2^2, where u1 and u2 solve u'' + Omega^2 u = 0 with
+    u1(0) = 1, u1'(0) = 0, u2(0) = 0 and u2'(0) = omega0; the trajectory
+    rides in the same map.
 
-    `omega_of_t` must accept ndarray arguments and stay positive and finite
-    on the window, and `trap` must stay finite; otherwise ValueError names
-    the first bad Gauss-node time.  The map is also propagated in
-    n_steps // 2 steps.  If that moves an endpoint entry by more than
-    HALVING_TOL (u and u2 relative to 1, u' and u2' to omega0, qc to the
-    distance d, qc' to d*omega0), or if a step exponent is not positive,
-    IntegrationError is raised.
+    `omega_of_t` and the trap path `trap` are vectorized callables of t.
+    Omega must stay positive and finite on the window, and Q(t) must stay
+    finite; otherwise ValueError names the first bad Gauss-node time.  The
+    map is also propagated in n_steps // 2 steps.  If that moves an
+    endpoint entry by more than HALVING_TOL (u and u2 relative to 1, u' and
+    u2' to omega0, qc to the distance d, qc' to d*omega0), or if a step
+    exponent is not positive, IntegrationError is raised.
     """
     if n_steps < 100:
         raise ValueError("n_steps >= 100 required")
@@ -223,20 +207,17 @@ def solve_auxiliary(params: PhysicalParams, omega_of_t, trap: TrapTrajectory,
     u2, u2_dot = w0 * b, w0 * d_entry
     rho = math.hypot(u1, u2)
     rho_dot = (u1 * u1_dot + u2 * u2_dot) / rho
-    return AuxiliarySolution(np.array([0.0, T]), np.array([1.0, rho]),
-                             np.array([0.0, rho_dot]), np.array([0.0, qc]),
-                             np.array([0.0, qc_dot]))
+    return AuxiliarySolution(rho, rho_dot, qc, qc_dot)
 
 
 def exact_energy(sol: AuxiliarySolution, params: PhysicalParams,
                  omega_T: float, Q_T: float, n: int = 0) -> EnergyQuanta:
-    """Exact mean energy at the last time of `sol` for initial eigenstate n.
+    """Exact mean energy at T for initial eigenstate n.
 
-    The formula consumes only the last values of `sol` and the trap state
-    (omega_T, Q_T) at that time.
+    The formula consumes the endpoint values `sol` and the trap state
+    (omega_T, Q_T) at T.
     """
-    rho, rhod = sol.rho[-1], sol.rho_dot[-1]
-    qc, qcd = sol.qc[-1], sol.qc_dot[-1]
+    rho, rhod, qc, qcd = sol.rho, sol.rho_dot, sol.qc, sol.qc_dot
     m, w0, hbar = params.mass, params.omega0, params.hbar
     energy = (0.5 * m * omega_T**2 * (qc - Q_T)**2 + 0.5 * m * qcd**2
               + hbar / (4.0 * w0) * (2 * n + 1)

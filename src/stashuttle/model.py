@@ -223,10 +223,6 @@ class Protocol(ABC):
             checks[2] = checks[5] = True
         return BoundaryReport(*res, ok=all(checks))
 
-    @property
-    def endpoint_compliant(self) -> bool:
-        return self.boundary_report().ok
-
 
 class Polynomial5(Protocol):
     """Lowest-order polynomial satisfying all six rest-to-rest boundary conditions."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import CORRIDOR_MIN_SAMPLES
 from .design import AnsatzSystem, DesignError
-from .dynamics import TrapTrajectory, perturbed_frequency
+from .dynamics import perturbed_frequency
 from .model import (FourierSineProtocol, Perturbation, PhysicalParams,
                     Protocol, eval_perturbation, row_blocks)
 
@@ -45,9 +45,9 @@ class SingularSystemError(RuntimeError):
     """The endpoint probe matrix of the extremal solve is numerically singular."""
 
 
-def corridor_cost(trap: TrapTrajectory, params: PhysicalParams,
+def corridor_cost(trap, params: PhysicalParams,
                   n_samples: int = 2001) -> float | np.ndarray:
-    """Integrated excursion of the trap path outside [0, d], units m*s.
+    """Integrated excursion of the trap path Q(t) outside [0, d], units m*s.
 
     Zero iff the sampled path stays inside the corridor; grows linearly with
     the overshoot amplitude, which gives the search a usable gradient.  When
@@ -149,14 +149,15 @@ def ga_minimize(params: PhysicalParams, system: AnsatzSystem, cost,
     paths = FourierSineProtocol(params, np.vstack([particular, basis.T]))
     grid = grid_paths = None   # last sample grid and the 1 + dim paths on it
 
-    def population_trap(weights: np.ndarray) -> TrapTrajectory:
+    def population_trap(weights: np.ndarray):
         def fn(t):
             nonlocal grid, grid_paths
+            t = np.asarray(t, dtype=float)
             if grid is None or not np.array_equal(grid, t):
                 grid, grid_paths = t.copy(), paths.trap_path(t).reshape(1 + dim, -1)
             return (weights @ grid_paths).reshape(weights.shape[:1] + t.shape)
 
-        return TrapTrajectory(fn)
+        return fn
 
     pop = rng.normal(0.0, spread, (cfg.population, dim))
     best_z = pop[0].copy()
@@ -387,8 +388,8 @@ class OctSolution:
         return _extremal_states(self.params, self.omega, self.control, self.times, t,
                                 self._state_sums())
 
-    def trap_trajectory(self) -> TrapTrajectory:
-        """Trap path x1 - u inside (0, T), clamped to the endpoints outside."""
+    def trap_trajectory(self):
+        """Trap path Q(t) = x1 - u inside (0, T), clamped to the endpoints outside."""
         d, T = self.params.distance, self.params.duration
 
         def fn(t):
@@ -397,10 +398,7 @@ class OctSolution:
             path = self.states(inside)[0] - self.control(inside)
             return np.where(t <= 0.0, 0.0, np.where(t >= T, d, path))
 
-        return TrapTrajectory(fn)
-
-    def protocol(self) -> OctExtremalProtocol:
-        return OctExtremalProtocol(self.params, self)
+        return fn
 
 
 def _control_basis(omega: float, w0: float, t: np.ndarray) -> np.ndarray:
@@ -486,23 +484,26 @@ def oct_solve(params: PhysicalParams, omega: float,
                        endpoint_residual=residual)
 
 
-def avg_dynamical_potential(params: PhysicalParams, proto: Protocol,
-                            trap: TrapTrajectory, pert: Perturbation | None = None,
+def avg_dynamical_potential(params: PhysicalParams, proto: Protocol, trap,
+                            pert: Perturbation | None = None,
                             include_first_order: bool = False,
                             n_steps: int = 20000) -> float:
     """Time average of (m*Omega^2/2)(q - Q0)^2 over the transport, joules.
 
-    With `include_first_order` the classical trajectory gains its first-order
-    response q1'' + w0^2 q1 = 2 f(t) q''(t) to the frequency perturbation,
-    summed by quadrature on the same grid; for small amplitudes the
-    correction is indistinguishable.
+    The integral is summed on one Gauss-Legendre panel per interval of a
+    grid of `n_steps` intervals, whose nodes never sample t = 0 or T, where
+    a trap path may jump.  With `include_first_order` the classical
+    trajectory gains its first-order response q1'' + w0^2 q1 = 2 f(t) q''(t)
+    to the frequency perturbation, summed by quadrature on the same grid;
+    for small amplitudes the correction is indistinguishable.
     """
     T = params.duration
     t = np.linspace(0.0, T, n_steps + 1)
+    nodes, weights = _gauss_panels(t[:-1], t[1:])
     omega = perturbed_frequency(params, pert)
-    om2 = np.asarray(omega(t), dtype=float) ** 2
-    q0 = np.asarray(proto.position(t), dtype=float)
-    Q = np.asarray(trap(t), dtype=float)
+    om2 = np.asarray(omega(nodes), dtype=float) ** 2
+    q0 = np.asarray(proto.position(nodes), dtype=float)
+    Q = np.asarray(trap(nodes), dtype=float)
     deviation = q0 - Q
 
     if include_first_order and pert is not None and pert.is_frequency \
@@ -510,8 +511,9 @@ def avg_dynamical_potential(params: PhysicalParams, proto: Protocol,
         def forcing(s):
             return 2.0 * eval_perturbation(pert, s) * proto.acceleration(s)
 
-        [(q1, _)] = _driven_oscillators([(params.omega0, lambda s: 1.0)], forcing, t)
+        [(q1, _)] = _driven_oscillators([(params.omega0, lambda s: 1.0)], forcing, t,
+                                        at=nodes)
         deviation = deviation + pert.amplitude * q1
 
     integrand = 0.5 * params.mass * om2 * deviation**2
-    return float(np.trapezoid(integrand, t)) / T
+    return float(np.sum(weights * integrand)) / T

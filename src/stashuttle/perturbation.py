@@ -139,14 +139,14 @@ class ExcitationReport:
 class FirstOrderSolution:
     """First-order responses of the width factor and the classical trajectory.
 
-    Evaluators integrate the formal convolution solutions
+    `responses` integrates the formal convolution solutions
 
         rho1(t) = -w0 * int_0^t f(t') sin[2 w0 (t-t')] dt'
         qc1(t)  = (2/w0) * int_0^t f(t') q0''(t') sin[w0 (t-t')] dt'
 
     (and the cosine kernels for the derivatives) by adaptive Gauss-Legendre
     quadrature at 1e-10 relative tolerance.  When `f(t)` returns shape
-    (*lanes, *t.shape), every evaluator returns the lane shape.  A `SineLanes`
+    (*lanes, *t.shape), every response has the lane shape.  A `SineLanes`
     `f` lends the scratch of its axis; any other `f` gets a scratch of its own.
     A `SineLanes` or sine-kind `f` starts each lane on the grid of its own
     frequency (`_first_panels`); a plain callable starts every lane on the
@@ -160,14 +160,15 @@ class FirstOrderSolution:
         self._omegas = _lane_frequencies(f)
         self._scratch = f.scratch if isinstance(f, SineLanes) else _Scratch()
 
-    def _conv(self, t: float, names: tuple) -> list:
-        """The responses `names` (keys of _ROWS) at `t`, each of the lane shape.
+    def responses(self, t: float, names: tuple) -> list:
+        """The responses `names` at `t`, each of the lane shape.
 
-        The kernel rows integrate as one stack f(t') x rows(t'), each lane
-        starting on the grid of its own phase against the stack's highest
-        kernel frequency and each element converging on its own.  For a
-        given `t` and protocol the rows depend on the grid only, so the
-        scratch keeps them.
+        `names` picks from "rho1", "rho1_dot", "qc1" and "qc1_dot" in any
+        order, which the list follows.  Their kernel rows integrate as one
+        stack f(t') x rows(t'), each lane starting on the grid of its own
+        phase against the stack's highest kernel frequency and each element
+        converging on its own.  For a given `t` and protocol the rows depend
+        on the grid only, so the scratch keeps them.
         """
         w0 = self.params.omega0
         freq = max(_ROWS[name][1] for name in names) * w0
@@ -199,18 +200,6 @@ class FirstOrderSolution:
         scale = {"qc1": 2.0 / w0, "qc1_dot": 2.0, "rho1": -w0, "rho1_dot": -2.0 * w0**2}
         return [scale[name] * values[..., k] for k, name in enumerate(names)]
 
-    def rho1(self, t: float):
-        return self._conv(t, ("rho1",))[0]
-
-    def rho1_dot(self, t: float):
-        return self._conv(t, ("rho1_dot",))[0]
-
-    def qc1(self, t: float):
-        return self._conv(t, ("qc1",))[0]
-
-    def qc1_dot(self, t: float):
-        return self._conv(t, ("qc1_dot",))[0]
-
 
 def second_order_energy_freq(params: PhysicalParams, proto: Protocol, f,
                              n: int = 0) -> ExcitationReport:
@@ -226,7 +215,7 @@ def second_order_energy_freq(params: PhysicalParams, proto: Protocol, f,
     w0, m = params.omega0, params.mass
     # a copy: lane values live in a buffer that the quadrature overwrites
     fT = np.array(sol._f(T), dtype=float)
-    q1, q1d, r1, r1d = sol._conv(T, tuple(_ROWS))
+    q1, q1d, r1, r1d = sol.responses(T, tuple(_ROWS))
     # squares go through C pow (np.float_power), which Python's float ** also
     # calls, so scan CSVs keep their bytes; numpy's ** multiplies instead and
     # rounds about one square in a thousand differently

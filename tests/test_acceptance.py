@@ -14,7 +14,7 @@ import pytest
 from stashuttle import (DesignConstraints, GaConfig, Perturbation,
                         PhysicalParams, Polynomial5, avg_dynamical_potential,
                         corridor_check, corridor_cost, crossing_time,
-                        design_aux_single, design_fourier, envelope_dynamical,
+                        design_aux, design_fourier, envelope_dynamical,
                         envelope_static, eta_ratio, excess_energy_exact,
                         fourier_projection, ga_minimize, oct_solve,
                         second_order_energy_freq, static_closed_form,
@@ -241,7 +241,7 @@ def test_criterion_08_designers():
     omega_t = TWO_PI * 5e6
     bound = 1e-9 * params.distance / params.duration
     series, _ = design_fourier(params, DesignConstraints(targets=(omega_t,)))
-    aux = design_aux_single(params, omega_t)
+    aux = design_aux(params, [omega_t])
     i_series = abs(target_integral(params, series, omega_t))
     i_aux = abs(target_integral(params, aux, omega_t))
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from numpy.polynomial import Polynomial
 
 from stashuttle import (DesignConstraints, DesignError, FourierSineProtocol,
-                        Perturbation, PhysicalParams, Polynomial5, design_aux_multi,
-                        design_aux_single, design_fourier, excess_energy_exact,
+                        Perturbation, PhysicalParams, Polynomial5, PolynomialTrajectory,
+                        design_aux, design_fourier, excess_energy_exact,
                         mode_overlap_integral, static_closed_form,
                         target_integral)
 from stashuttle.design import _mode_overlap_quad, assemble_system
@@ -22,7 +23,7 @@ class TestTargetIntegral:
     def test_zero_acceleration(self, params):
         proto = FourierSineProtocol(params, [0.0, 0.0])
         assert target_integral(params, proto, TWO_PI * 5e6) == 0.0
-        assert not proto.endpoint_compliant  # degenerate: never reaches d
+        assert not proto.boundary_report().ok  # degenerate: never reaches d
 
     def test_consistent_with_fourier_dynamical(self, params):
         # |I|^2 against the generic quadrature route of the dynamical form
@@ -36,17 +37,17 @@ class TestTargetIntegral:
 class TestAuxSingle:
     def test_target_integral_vanishes(self, params):
         omega = TWO_PI * 5e6
-        proto = design_aux_single(params, omega)
+        proto = design_aux(params, [omega])
         bound = 1e-9 * params.distance / params.duration
         assert abs(target_integral(params, proto, omega)) < bound
 
     def test_boundary_conditions(self, params):
-        proto = design_aux_single(params, TWO_PI * 5e6)
+        proto = design_aux(params, [TWO_PI * 5e6])
         assert proto.boundary_report(rtol=1e-10).ok
 
     def test_quadratic_dip(self, params):
         omega = TWO_PI * 5e6
-        proto = design_aux_single(params, omega)
+        proto = design_aux(params, [omega])
         delta = TWO_PI * 50e3
         e1 = dynamical_quanta(params, proto, omega + delta)
         e2 = dynamical_quanta(params, proto, omega + 2 * delta)
@@ -56,22 +57,31 @@ class TestAuxSingle:
 
     def test_trap_frequency_target_is_singular(self, params):
         with pytest.raises(DesignError):
-            design_aux_single(params, params.omega0)
+            design_aux(params, [params.omega0])
 
 
 class TestAuxMulti:
     def test_single_frequency_reduces_to_single(self, params):
+        # one target gives the single-frequency design g^(4) + (a + b) g^(2) + a b g
+        # with g = v (v^2 - 1/4)^5, a = ((omega0 - omega) T)^2 and
+        # b = ((omega0 + omega) T)^2, from any sequence that holds the target
         omega = TWO_PI * 5e6
-        a = design_aux_single(params, omega)
-        b = design_aux_multi(params, [omega])
+        a = ((params.omega0 - omega) * params.duration) ** 2
+        b = ((params.omega0 + omega) * params.duration) ** 2
+        g = Polynomial([0.0, 1.0]) * Polynomial([-0.25, 0.0, 1.0]) ** 5
+        single = PolynomialTrajectory(params, g.deriv(4) + (a + b) * g.deriv(2) + a * b * g,
+                                      1.0)
         t = np.linspace(0, params.duration, 17)
-        assert np.allclose(a.position(t), b.position(t), rtol=1e-12, atol=0)
+        want = params.distance * single.position(t) / single.position(params.duration)
+        for targets in [(omega,), [omega], np.array([omega])]:
+            got = design_aux(params, targets).position(t)
+            assert np.allclose(got, want, rtol=0, atol=1e-12 * params.distance)
 
     def test_window_flattening(self, params):
         # close targets flatten the response across the enclosed window
         center = TWO_PI * 5e6
         half = TWO_PI * 250.0
-        proto = design_aux_multi(params, [center - half, center + half])
+        proto = design_aux(params, [center - half, center + half])
         bound = 1e-6 * params.distance / params.duration
         for omega in np.linspace(center - half, center + half, 21):
             assert abs(target_integral(params, proto, omega)) < bound
@@ -79,29 +89,27 @@ class TestAuxMulti:
     def test_pairwise_better_than_single_across_wide_window(self, params):
         center = TWO_PI * 5e6
         half = TWO_PI * 50e3
-        single = design_aux_single(params, center)
-        multi = design_aux_multi(params, [center - half, center + half])
+        single = design_aux(params, [center])
+        multi = design_aux(params, [center - half, center + half])
         grid = np.linspace(center - half, center + half, 15)
         worst_single = max(abs(target_integral(params, single, w)) for w in grid)
         worst_multi = max(abs(target_integral(params, multi, w)) for w in grid)
         assert worst_multi < worst_single
 
     def test_boundary_conditions(self, params):
-        proto = design_aux_multi(params, [TWO_PI * 4.8e6, TWO_PI * 5.2e6])
+        proto = design_aux(params, [TWO_PI * 4.8e6, TWO_PI * 5.2e6])
         assert proto.boundary_report(rtol=1e-9).ok
 
     def test_repeated_frequency_rejected(self, params):
         with pytest.raises(DesignError):
-            design_aux_multi(params, [TWO_PI * 5e6, TWO_PI * 5e6])
+            design_aux(params, [TWO_PI * 5e6, TWO_PI * 5e6])
 
     @pytest.mark.parametrize("n_freqs", [1, 2])
     def test_auxiliary_function_endpoint_orders(self, params, n_freqs):
         # the centered auxiliary polynomial v*(v^2-1/4)^(4p+1) must vanish with
         # its first 4p derivatives at both edges, and integrate to zero
-        from numpy.polynomial import Polynomial
-
         targets = [TWO_PI * (5e6 + k * 2e5) for k in range(n_freqs)]
-        proto = design_aux_multi(params, targets)
+        proto = design_aux(params, targets)
         edge = 4 * n_freqs + 1
         # the acceleration is a differential operator of order 4p applied to
         # g, whose degree 2*edge + 1 it keeps through the undifferentiated
@@ -185,7 +193,7 @@ class TestTrajectoryFromCoeffs:
         T, d = params.duration, params.distance
         proto = FourierSineProtocol(params, [d * np.pi / T**2])
         assert proto.position(T) == pytest.approx(d, rel=1e-12)
-        assert not proto.endpoint_compliant
+        assert not proto.boundary_report().ok
 
     def test_acceleration_endpoints_always_zero(self, params):
         rng = np.random.default_rng(13)
@@ -282,7 +290,7 @@ class TestDesignFourier:
 class TestMethodComparison:
     def test_both_cancel_and_series_is_smoother(self, params):
         omega = TWO_PI * 4.5e6
-        aux = design_aux_single(params, omega)
+        aux = design_aux(params, [omega])
         series, _ = design_fourier(params, DesignConstraints(targets=(omega,)))
         bound = 1e-9 * params.distance / params.duration
         assert abs(target_integral(params, aux, omega)) < bound

@@ -1,5 +1,5 @@
 import re
-from dataclasses import replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stashuttle import (AuxiliarySolution, IntegrationError, Perturbation,
-                        PhysicalParams, Polynomial5, TrapTrajectory, dynamics,
+                        PhysicalParams, Polynomial5, dynamics,
                         exact_energy, excess_energy_exact, shifted_trap,
                         solve_auxiliary, trap_from_classical)
 from stashuttle.cli import main
@@ -19,6 +19,22 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples_config"
 
 def constant_omega(w):
     return lambda t: w * np.ones_like(np.asarray(t, dtype=float))
+
+
+@dataclass(frozen=True)
+class ReferenceGrids:
+    """The reference RK4's auxiliary variables at every step from t = 0."""
+
+    times: np.ndarray
+    rho: np.ndarray
+    rho_dot: np.ndarray
+    qc: np.ndarray
+    qc_dot: np.ndarray
+
+    @property
+    def endpoint(self) -> AuxiliarySolution:
+        return AuxiliarySolution(float(self.rho[-1]), float(self.rho_dot[-1]),
+                                 float(self.qc[-1]), float(self.qc_dot[-1]))
 
 
 def reference_solve_auxiliary(params, omega_of_t, trap, n_steps):
@@ -89,7 +105,12 @@ def reference_solve_auxiliary(params, omega_of_t, trap, n_steps):
         idx = k + 1
         rho_g[idx], rhod_g[idx], qc_g[idx], qcd_g[idx] = rho, rhod, qc, qcd
 
-    return AuxiliarySolution(tg[::2].copy(), rho_g, rhod_g, qc_g, qcd_g)
+    return ReferenceGrids(tg[::2].copy(), rho_g, rhod_g, qc_g, qcd_g)
+
+
+def reference_endpoint(params, omega_of_t, trap, n_steps):
+    """The endpoint of the reference RK4, in the form `solve_auxiliary` returns."""
+    return reference_solve_auxiliary(params, omega_of_t, trap, n_steps).endpoint
 
 
 def energy_profile(sol, params, omega_of_t, trap, n=0):
@@ -139,11 +160,12 @@ class TestSolveAuxiliary:
         proto = Polynomial5(params)
         trap = trap_from_classical(proto, params)
         sol = solve_auxiliary(params, constant_omega(params.omega0), trap, 20000)
+        assert all(type(value) is float for value in astuple(sol))
         d = params.distance
-        assert sol.rho[-1] == pytest.approx(1.0, rel=1e-8)
-        assert sol.rho_dot[-1] == pytest.approx(0.0, abs=1e-8 * params.omega0)
-        assert sol.qc[-1] == pytest.approx(d, rel=1e-8)
-        assert sol.qc_dot[-1] == pytest.approx(0.0, abs=1e-8 * d / params.duration)
+        assert sol.rho == pytest.approx(1.0, rel=1e-8)
+        assert sol.rho_dot == pytest.approx(0.0, abs=1e-8 * params.omega0)
+        assert sol.qc == pytest.approx(d, rel=1e-8)
+        assert sol.qc_dot == pytest.approx(0.0, abs=1e-8 * d / params.duration)
 
     def test_roundtrip_reproduces_designed_trajectory(self, params):
         proto = Polynomial5(params)
@@ -158,8 +180,7 @@ class TestSolveAuxiliary:
         trap = trap_from_classical(Polynomial5(params), params)
         a = solve_auxiliary(params, omega, trap, 20000)
         b = solve_auxiliary(params, omega, trap, 40000)
-        for x, y, scale in ((a.rho[-1], b.rho[-1], 1.0),
-                            (a.qc[-1], b.qc[-1], params.distance)):
+        for x, y, scale in ((a.rho, b.rho, 1.0), (a.qc, b.qc, params.distance)):
             assert abs(x - y) <= 1e-8 * scale
 
     def test_rk4_order(self, params):
@@ -193,7 +214,7 @@ class TestSolveAuxiliary:
                      id="rho-nonpositive"),
     ])
     def test_integrator_failure_is_reported(self, params, factor, step, message):
-        trap = TrapTrajectory(lambda t: np.zeros_like(t))
+        trap = np.zeros_like
         with pytest.raises(IntegrationError) as err:
             reference_solve_auxiliary(params, constant_omega(factor * params.omega0),
                                       trap, 100)
@@ -201,14 +222,14 @@ class TestSolveAuxiliary:
         assert err.value.time == step * (params.duration / 100)
 
     def test_nonpositive_frequency_rejected(self, params):
-        trap = TrapTrajectory(lambda t: np.zeros_like(t))
+        trap = np.zeros_like
         with pytest.raises(ValueError, match="positive"):
             solve_auxiliary(params, lambda t: params.omega0 * np.cos(
                 2 * np.pi * t / params.duration), trap, 500)
 
     def test_nan_frequency_rejected_before_stepping(self, params):
         # a NaN in Omega(t) must not surface as a rho failure later on
-        trap = TrapTrajectory(lambda t: np.zeros_like(t))
+        trap = np.zeros_like
         omega = lambda t: np.where(t > params.duration / 2, np.nan, params.omega0)
         with pytest.raises(ValueError) as err:
             solve_auxiliary(params, omega, trap, 1000)
@@ -218,7 +239,7 @@ class TestSolveAuxiliary:
 
     def test_nan_trap_path_rejected_before_stepping(self, params):
         # a NaN in Q(t) would otherwise give a silently NaN trajectory
-        trap = TrapTrajectory(lambda t: np.where(t > params.duration / 2, np.nan, 0.0))
+        trap = lambda t: np.where(t > params.duration / 2, np.nan, 0.0)
         with pytest.raises(ValueError) as err:
             solve_auxiliary(params, constant_omega(params.omega0), trap, 1000)
         assert str(err.value) == ("trap path must stay finite on [0, T]; "
@@ -239,7 +260,7 @@ class TestSolveAuxiliary:
         h = params.duration / 100
         omega = lambda t: np.where(t < params.duration / 2 + h / 2,
                                    params.omega0, 10 * params.omega0)
-        trap = TrapTrajectory(lambda t: np.zeros_like(t))
+        trap = np.zeros_like
         with pytest.raises(IntegrationError, match="exponent became nonpositive") as err:
             solve_auxiliary(params, omega, trap, 100)
         assert err.value.time == pytest.approx(params.duration / 2)
@@ -262,7 +283,7 @@ class TestSolveAuxiliary:
         cycles = params.duration * params.omega0 * max(2.0, ratio) / (2 * np.pi)
         n_steps = max(4000, int(steps_per_cycle * cycles))
         exact = total_energy(solve_auxiliary, params, omega, trap, n_steps)
-        reference = total_energy(reference_solve_auxiliary, params, omega, trap, 4 * n_steps)
+        reference = total_energy(reference_endpoint, params, omega, trap, 4 * n_steps)
         assert exact == pytest.approx(reference, rel=1e-8)
 
     def test_agrees_with_rk4_on_verify_axis(self, tmp_path, monkeypatch):
@@ -276,31 +297,25 @@ class TestSolveAuxiliary:
             return np.array([float(line.split(",")[1]) for line in lines])
 
         exact = exact_column("cf4.csv")
-        monkeypatch.setattr(dynamics, "solve_auxiliary", reference_solve_auxiliary)
+        monkeypatch.setattr(dynamics, "solve_auxiliary", reference_endpoint)
         reference = exact_column("rk4.csv")
         assert np.max(np.abs(exact - reference)) <= 1e-8 * np.max(np.abs(reference))
 
 
 class TestExactEnergy:
-    @staticmethod
-    def endpoint_solution(rho, rho_dot, qc, qc_dot):
-        return AuxiliarySolution(np.array([0.0]), np.array([rho]),
-                                 np.array([rho_dot]), np.array([qc]),
-                                 np.array([qc_dot]))
-
     def test_ground_state(self, params):
-        sol = self.endpoint_solution(1.0, 0.0, params.distance, 0.0)
+        sol = AuxiliarySolution(1.0, 0.0, params.distance, 0.0)
         e = exact_energy(sol, params, params.omega0, params.distance, n=0)
         assert e.value == pytest.approx(0.5, rel=1e-12)
 
     def test_excited_level(self, params):
-        sol = self.endpoint_solution(1.0, 0.0, params.distance, 0.0)
+        sol = AuxiliarySolution(1.0, 0.0, params.distance, 0.0)
         e = exact_energy(sol, params, params.omega0, params.distance, n=3)
         assert e.value == pytest.approx(3.5, rel=1e-12)
 
     def test_displaced_endpoint(self, params):
         delta = 3e-9
-        sol = self.endpoint_solution(1.0, 0.0, params.distance + delta, 0.0)
+        sol = AuxiliarySolution(1.0, 0.0, params.distance + delta, 0.0)
         e = exact_energy(sol, params, params.omega0, params.distance, n=0)
         extra = params.mass * params.omega0**2 * delta**2 / 2 / params.energy_quantum
         assert e.value == pytest.approx(0.5 + extra, rel=1e-12)
@@ -308,7 +323,7 @@ class TestExactEnergy:
     def test_energy_conservation_static_trap(self, params):
         # constant (detuned) frequency and a fixed trap center: <H> is conserved
         omega = constant_omega(1.3 * params.omega0)
-        trap = TrapTrajectory(lambda t: params.distance * np.ones_like(t))
+        trap = lambda t: params.distance * np.ones_like(t)
         sol = reference_solve_auxiliary(params, omega, trap, 20000)
         profile = energy_profile(sol, params, omega, trap, n=0)
         assert np.max(np.abs(profile - profile[0])) <= 1e-8 * abs(profile[0])

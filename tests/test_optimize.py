@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stashuttle import (DesignConstraints, DesignError, FourierSineProtocol,
-                        GaConfig, Perturbation, Polynomial5, TrapTrajectory,
+                        GaConfig, OctExtremalProtocol, Perturbation, Polynomial5,
                         avg_dynamical_potential, corridor_cost, design_fourier, ga_minimize,
                         nullspace_parametrize, oct_solve, trap_from_classical)
 from stashuttle.design import assemble_system
@@ -27,7 +27,7 @@ class TestCorridorCost:
 
     def test_constant_overshoot(self, params):
         c = 3e-6
-        trap = TrapTrajectory(lambda t: (params.distance + c) * np.ones_like(t))
+        trap = lambda t: (params.distance + c) * np.ones_like(t)
         assert corridor_cost(trap, params) == pytest.approx(c * params.duration,
                                                             rel=1e-12)
 
@@ -41,13 +41,12 @@ class TestCorridorCost:
         base = trap_from_classical(Polynomial5(params), params)
         scales = np.array([1.0, 1.02, 1.0, 0.9])
         offsets = np.array([0.0, 0.0, -2e-6, 8e-6])
-        population = TrapTrajectory(
-            lambda t: scales[:, None] * base(t) + offsets[:, None])
+        population = lambda t: scales[:, None] * base(t) + offsets[:, None]
         costs = corridor_cost(population, params)
         assert costs.shape == (4,)
         assert costs[0] == 0.0 and np.all(costs[1:] > 0)
         for k in range(4):
-            row = TrapTrajectory(lambda t: scales[k] * base(t) + offsets[k])
+            row = lambda t: scales[k] * base(t) + offsets[k]
             single = corridor_cost(row, params)
             assert isinstance(single, float)
             assert costs[k] == single
@@ -72,7 +71,7 @@ class TestCorridorCost:
         t = np.linspace(0.0, params.duration, 2001)
         trap = trap_from_classical(FourierSineProtocol(params, coef), params)
         Q = trap(t)
-        population = TrapTrajectory(lambda _: Q)
+        population = lambda _: Q
         tracemalloc.start()
         try:
             corridor_cost(population, params)
@@ -296,7 +295,7 @@ class TestOctSolve:
         assert other._grid is not None and "x" not in vars(other)
 
     def test_protocol_exempts_the_edge_jumps(self, params):
-        protocol = oct_solve(params, TWO_PI * 5e6, n_steps=3000).protocol()
+        protocol = OctExtremalProtocol(params, oct_solve(params, TWO_PI * 5e6, n_steps=3000))
         assert protocol.edge_jumps and not Polynomial5(params).edge_jumps
         report = protocol.boundary_report(rtol=1e-8)
         assert abs(report.acceleration_start) > 1e-3 * params.distance / params.duration**2
@@ -381,7 +380,7 @@ class TestOctSolve:
         at_once = sol.states(t)
         for k, point in enumerate(t.tolist()):
             assert np.array_equal(sol.states(point), at_once[:, k])
-        protocol = sol.protocol()
+        protocol = OctExtremalProtocol(params, sol)
         assert protocol.position(t[2]) == at_once[0, 2]
         assert protocol.velocity(t[3]) == at_once[1, 3]
 
@@ -417,14 +416,14 @@ class TestOctSolve:
 class TestAvgDynamicalPotential:
     def test_trap_following_trajectory_costs_nothing(self, params):
         proto = Polynomial5(params)
-        trap = TrapTrajectory(lambda t: proto.position(t))
+        trap = proto.position
         assert avg_dynamical_potential(params, proto, trap, n_steps=2000) == 0.0
 
     def test_matches_control_integral_form(self, params):
         sol = oct_solve(params, TWO_PI * 5e6, n_steps=8000)
-        value = avg_dynamical_potential(params, sol.protocol(),
+        value = avg_dynamical_potential(params, OctExtremalProtocol(params, sol),
                                         sol.trap_trajectory(), n_steps=8000)
-        assert value == pytest.approx(sol.e_bar, rel=1e-6)
+        assert value == pytest.approx(sol.e_bar, rel=1e-12, abs=0.0)
 
     def test_polynomial_exceeds_extremal(self, params):
         omega = TWO_PI * 5e6
@@ -440,7 +439,7 @@ class TestAvgDynamicalPotential:
         # a percent at amplitude 0.01 and below a tenth of a percent at 0.003
         omega = TWO_PI * 5e6
         sol = oct_solve(params, omega, n_steps=8000)
-        proto, trap = sol.protocol(), sol.trap_trajectory()
+        proto, trap = OctExtremalProtocol(params, sol), sol.trap_trajectory()
 
         def rel_diff(amplitude):
             pert = Perturbation.frequency_sine(omega, amplitude)

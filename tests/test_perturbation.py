@@ -32,13 +32,12 @@ class TestFirstOrder:
     def test_zero_perturbation(self, params):
         sol = FirstOrderSolution(params, Polynomial5(params), lambda t: np.zeros_like(t))
         T = params.duration
-        assert sol.rho1(T) == 0.0 == sol.qc1(T)
+        assert sol.responses(T, ("rho1", "qc1")) == [0.0, 0.0]
 
     def test_initial_conditions(self, params):
         pert = Perturbation.frequency_sine(TWO_PI * 6e6, 0.01)
         sol = FirstOrderSolution(params, Polynomial5(params), pert)
-        assert sol.rho1(0.0) == sol.rho1_dot(0.0) == 0.0
-        assert sol.qc1(0.0) == sol.qc1_dot(0.0) == 0.0
+        assert sol.responses(0.0, ("rho1", "rho1_dot", "qc1", "qc1_dot")) == [0.0] * 4
 
     def test_constant_perturbation_closed_form(self, params):
         # rho1(t) = -(1 - cos(2 w0 t))/2 for f = 1
@@ -47,7 +46,8 @@ class TestFirstOrder:
         w0 = params.omega0
         for t in (0.3e-6, 0.77e-6, 1.9e-6):
             want = -0.5 * (1.0 - np.cos(2 * w0 * t))
-            assert sol.rho1(t) == pytest.approx(want, abs=1e-9)
+            [rho1] = sol.responses(t, ("rho1",))
+            assert rho1 == pytest.approx(want, abs=1e-9)
 
     def test_static_part_matches_closed_form(self, params):
         # endpoint values must reproduce the sinusoid closed form when wT = k*pi
@@ -197,16 +197,18 @@ class TestLanes:
                 one = FirstOrderSolution(params, Polynomial5(params),
                                          Perturbation.frequency_sine(omega, 0.01))
                 for name in ("rho1", "rho1_dot", "qc1", "qc1_dot"):
-                    assert getattr(lanes, name)(t)[k] == getattr(one, name)(t)
-        assert not lanes.rho1(0.0).any() and lanes.qc1_dot(0.0).shape == (2,)
+                    assert (lanes.responses(t, (name,))[0][k]
+                            == one.responses(t, (name,))[0])
+        rho1, qc1_dot = lanes.responses(0.0, ("rho1", "qc1_dot"))
+        assert not rho1.any() and qc1_dot.shape == (2,)
 
     def test_one_evaluator_integrates_one_kernel(self, params, monkeypatch):
         sol = FirstOrderSolution(params, Polynomial5(params),
                                  Perturbation.frequency_sine(TWO_PI * 6e6, 0.01))
         t = 0.6 * params.duration
         # a pair of rows of one kernel frequency runs on the chain of either row
-        pairs = {"rho1": sol._conv(t, ("rho1", "rho1_dot")),
-                 "qc1": sol._conv(t, ("qc1", "qc1_dot"))}
+        pairs = {"rho1": sol.responses(t, ("rho1", "rho1_dot")),
+                 "qc1": sol.responses(t, ("qc1", "qc1_dot"))}
         rows, quad = [], perturbation.adaptive_quad
 
         def counting(f, *args):
@@ -215,7 +217,7 @@ class TestLanes:
 
         monkeypatch.setattr(perturbation, "adaptive_quad", counting)
         for name, k in [("rho1", 0), ("rho1_dot", 1), ("qc1", 0), ("qc1_dot", 1)]:
-            assert getattr(sol, name)(t) == pairs[name.split("_")[0]][k]
+            assert sol.responses(t, (name,))[0] == pairs[name.split("_")[0]][k]
         assert rows == [1, 1, 1, 1]
 
     def test_block_integrates_one_stack_of_four_rows(self, params, monkeypatch):
@@ -330,12 +332,19 @@ class TestSecondOrderPosition:
         assert report.total_quanta == 0.0
 
     def test_matches_fourier_form(self, params):
+        # omega0*T = 16*pi, so at k = 24 the position transform vanishes and
+        # both forms return rounding noise: each k is compared at the scale of
+        # the k = 9 value
+        got, want = [], []
         for k in (9, 24):
             omega = k * np.pi / params.duration
             pert = Perturbation.position_sine(omega, 0.01)
-            report = second_order_energy_pos(params, pert)
-            want = fourier_static_pos(params, pert)
-            assert report.static_quanta == pytest.approx(want, rel=1e-9)
+            got.append(second_order_energy_pos(params, pert).static_quanta)
+            want.append(fourier_static_pos(params, pert))
+        scale = want[0]
+        assert abs(want[1]) <= 1e-12 * scale
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-9 * scale
 
     def test_purely_static(self, params):
         pert = Perturbation.position_sine(TWO_PI * 3e6, 0.01)
