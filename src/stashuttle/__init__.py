@@ -16,8 +16,8 @@ from .analysis import (CommensurateClass, ConditionKind, PoleError,
 from .design import (AnsatzSystem, DesignConstraints, DesignError, design_aux,
                      design_fourier, mode_overlap_integral, target_integral)
 from .dynamics import (AuxiliarySolution, IntegrationError, exact_energy,
-                       excess_energy_exact, shifted_trap, solve_auxiliary,
-                       trap_from_classical)
+                       exact_transport, excess_energy_exact, shifted_trap,
+                       solve_auxiliary, trap_from_classical)
 from .model import (EnergyQuanta, FourierSineProtocol, Perturbation,
                     PerturbationKind, PhysicalParams, Polynomial5,
                     PolynomialTrajectory, Protocol,

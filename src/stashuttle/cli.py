@@ -25,8 +25,7 @@ from .analysis import (CORRIDOR_MIN_SAMPLES, PoleError, corridor_check,
                        envelope_dynamical, envelope_static)
 from .design import (DesignConstraints, DesignError, design_aux, design_fourier,
                      target_integral)
-from .dynamics import (IntegrationError, excess_energy_exact,
-                       trap_from_classical)
+from .dynamics import IntegrationError, exact_transport, trap_from_classical
 from .model import AMPLITUDE_WARN, Perturbation, PhysicalParams, Polynomial5, validate
 from .optimize import (OCT_MIN_STEPS, GaConfig, SingularSystemError,
                        corridor_cost, ga_minimize, oct_solve)
@@ -286,15 +285,15 @@ def cmd_verify(config: dict, out: str, seed: int | None) -> int:
         local = Perturbation.frequency_sine(omega, pert.amplitude)
         cycles = p.duration * max(2.0 * p.omega0, omega) / (2.0 * math.pi)
         n_steps = max(4000, int(steps_per_cycle * cycles))
-        exact = excess_energy_exact(p, Polynomial5(p), local, level, n_steps).value
-        return value, exact, pert_quanta
+        exact, sol = exact_transport(p, Polynomial5(p), local, level, n_steps)
+        return value, exact.value, pert_quanta, sol.halving_change
 
-    triples = [point(*pair) for pair in zip(values.tolist(), perturbative.tolist())]
-    peak = max((abs(t[2]) for t in triples), default=0.0)
+    points = [point(*pair) for pair in zip(values.tolist(), perturbative.tolist())]
+    peak = max((abs(t[2]) for t in points), default=0.0)
     floor = VERIFY_FLOOR * peak
     rows = []
     max_err = 0.0
-    for value, exact, pert_quanta in triples:
+    for value, exact, pert_quanta, _ in points:
         denom = max(abs(pert_quanta), floor, 1e-300)
         err = abs(exact - pert_quanta) / denom if pert.amplitude > 0 else 0.0
         max_err = max(max_err, err)
@@ -302,6 +301,7 @@ def cmd_verify(config: dict, out: str, seed: int | None) -> int:
     write_csv(out, config, ["scan_value", "exact_quanta", "perturbative_quanta",
                             "relative_error"], rows)
     echo("max_relative_error", max_err)
+    echo("max_halving_change", max((t[3] for t in points), default=0.0))
     return EXIT_OK
 
 

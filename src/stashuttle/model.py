@@ -227,19 +227,25 @@ class Protocol(ABC):
 class Polynomial5(Protocol):
     """Lowest-order polynomial satisfying all six rest-to-rest boundary conditions."""
 
+    # Horner forms in x = t/T - 1/2, about which q - d/2 and q'' are odd and q'
+    # is even, so t and T - t round alike; no power s**k is taken.
+    # trap_path stays position + acceleration/omega0^2: one fused quintic of
+    # Q(t) rounds differently and moves criterion 6 and the corridor checks.
     def position(self, t):
-        s = np.asarray(t, dtype=float) / self.params.duration
-        return self.params.distance * (10 * s**3 - 15 * s**4 + 6 * s**5)
+        x = np.asarray(t, dtype=float) / self.params.duration - 0.5
+        x2 = x * x
+        return self.params.distance * (0.5 + x * (1.875 + x2 * (6 * x2 - 5)))
 
     def velocity(self, t):
         p = self.params
-        s = np.asarray(t, dtype=float) / p.duration
-        return p.distance / p.duration * (30 * s**2 - 60 * s**3 + 30 * s**4)
+        x = np.asarray(t, dtype=float) / p.duration - 0.5
+        x2 = x * x
+        return p.distance / p.duration * (1.875 + x2 * (30 * x2 - 15))
 
     def acceleration(self, t):
         p = self.params
-        s = np.asarray(t, dtype=float) / p.duration
-        return p.distance / p.duration**2 * (60 * s - 180 * s**2 + 120 * s**3)
+        x = np.asarray(t, dtype=float) / p.duration - 0.5
+        return p.distance / p.duration**2 * (x * (120 * (x * x) - 30))
 
 
 def _series(coef: np.ndarray, basis: np.ndarray) -> np.ndarray:

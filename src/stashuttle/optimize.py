@@ -30,7 +30,7 @@ __all__ = [
 
 OCT_MIN_STEPS = 2000          # fewest output-grid intervals of oct_solve
 # grid intervals per pass of oct_solve: 8192 Gauss nodes, 64 KiB per float64
-# array, the sizing of dynamics.BLOCK_STEPS
+# array, the node count of one block of dynamics.BLOCK_STEPS two-node steps
 OCT_BLOCK = 1024
 
 # fixed operators of the genetic search

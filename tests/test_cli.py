@@ -248,6 +248,16 @@ class TestVerify:
         echoed = parse_echo(captured.out)
         assert float(echoed["max_relative_error"]) < 0.05
 
+    def test_echoes_halving_change(self, tmp_path, capsys):
+        # the worst endpoint change of the oracle's run-time step-halving check
+        config = base_config(scan={"variable": "omega", "points": 3,
+                                   "min": {"value": 2.0, "unit": "two_pi_mhz"},
+                                   "max": {"value": 10.0, "unit": "two_pi_mhz"}})
+        code, _, captured = run(tmp_path, capsys, "verify", config)
+        assert code == 0
+        change = float(parse_echo(captured.out)["max_halving_change"])
+        assert 0.0 < change <= 1e-8
+
     def test_perturbative_column_matches_one_point_calls(self, tmp_path, capsys):
         axis = {"variable": "omega", "points": 5,
                 "min": {"value": 2.0, "unit": "two_pi_mhz"},

@@ -11,7 +11,8 @@ from stashuttle import (AuxiliarySolution, IntegrationError, Perturbation,
                         exact_energy, excess_energy_exact, shifted_trap,
                         solve_auxiliary, trap_from_classical)
 from stashuttle.cli import main
-from stashuttle.dynamics import _monodromy, perturbed_frequency
+from stashuttle.dynamics import (_magnus_steps, _monodromy, _ordered_product,
+                                 perturbed_frequency)
 from stashuttle.perturbation import second_order_energy_freq
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples_config"
@@ -41,7 +42,7 @@ def reference_solve_auxiliary(params, omega_of_t, trap, n_steps):
     """Fixed-step classical RK4 of the width and trajectory equations, with grids.
 
     It steps the nonlinear width equation itself and shares no method with
-    the CF4 monodromy of `solve_auxiliary`, so their agreement checks both.
+    the Magnus monodromy of `solve_auxiliary`, so their agreement checks both.
     """
     T = params.duration
     h = T / n_steps
@@ -131,6 +132,26 @@ def map_error(params, entries, reference):
     return sum(abs(x - y) / s for x, y, s in zip(entries, reference, scales))
 
 
+def expm_series(matrix):
+    """Matrix exponential by a Taylor series with scaling and squaring."""
+    halvings = max(0, int(np.ceil(np.log2(np.abs(matrix).sum(axis=1).max() + 1e-300))) + 4)
+    scaled = matrix / 2.0**halvings
+    term = total = np.eye(len(matrix))
+    for k in range(1, 30):
+        term = term @ scaled / k
+        total = total + term
+    for _ in range(halvings):
+        total = total @ total
+    return total
+
+
+def magnus_generator(a, b, h):
+    """The two-node 4th-order Magnus exponent of one step, as a 3x3 matrix."""
+    A1, A2 = (np.array([[0.0, 1.0, 0.0], [-ai, 0.0, bi], [0.0, 0.0, 0.0]])
+              for ai, bi in zip(a, b))
+    return h / 2 * (A1 + A2) + np.sqrt(3.0) * h**2 / 12 * (A2 @ A1 - A1 @ A2)
+
+
 def total_energy(solve, params, omega, trap, n_steps):
     sol = solve(params, omega, trap, n_steps)
     T = params.duration
@@ -196,7 +217,7 @@ class TestSolveAuxiliary:
         ratio = endpoint_error(1000) / endpoint_error(2000)
         assert 8 < ratio < 32  # fourth order: 16x per halving, within a factor 2
 
-    def test_cf4_order(self, params):
+    def test_magnus_order(self, params):
         pert = Perturbation.frequency_sine(2 * np.pi * 6e6, 0.01)
         omega = perturbed_frequency(params, pert)
         trap = trap_from_classical(Polynomial5(params), params)
@@ -256,7 +277,8 @@ class TestSolveAuxiliary:
 
     def test_nonpositive_exponent_is_reported(self, params):
         # Omega jumps 10x between the Gauss nodes of the step at T/2, so the
-        # first exponent of that step has a negative stiffness
+        # commutator term outweighs the mean stiffness in that step's exponent:
+        # theta^2 = h^2 omega0^2 (50.5 - 51.6) < 0, with h omega0 = 0.16 pi
         h = params.duration / 100
         omega = lambda t: np.where(t < params.duration / 2 + h / 2,
                                    params.omega0, 10 * params.omega0)
@@ -300,6 +322,52 @@ class TestSolveAuxiliary:
         monkeypatch.setattr(dynamics, "solve_auxiliary", reference_endpoint)
         reference = exact_column("rk4.csv")
         assert np.max(np.abs(exact - reference)) <= 1e-8 * np.max(np.abs(reference))
+
+
+class TestMagnusKernel:
+    @pytest.mark.parametrize("a, b, h", [
+        # theta near 1, with the commutator term at 3 % of it
+        ((0.9, 1.1), (0.3, -0.7), 1.0),
+        # theta = 1e-3: (1 - cos theta)/theta^2 cancels unless rewritten
+        ((1.0, 1.2), (2.0, 5.0), 1e-3),
+        # a realistic step: omega0 of 4 MHz, the trap path near d, T/20000
+        ((9.87e14, 1.01e15), (2.5e10, 2.6e10), 1e-10),
+        # theta = pi, where cos(theta) = -1: a coarse step at constant Omega
+        ((np.pi**2, np.pi**2), (0.5, 0.5), 1.0),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_step_matches_matrix_exponential(self, a, b, h):
+        step = _magnus_steps(np.array(a)[:, None], np.array(b)[:, None], h)
+        assert step.shape == (2, 3, 1)
+        # a diagonal similarity scales u' by sqrt(a), so the series sees entries
+        # of one size
+        balance = np.diag([1.0, np.sqrt(np.mean(a)), 1.0])
+        unbalance = np.diag(1.0 / np.diag(balance))
+        expected = balance @ expm_series(
+            unbalance @ magnus_generator(a, b, h) @ balance) @ unbalance
+        np.testing.assert_array_equal(expected[2], [0.0, 0.0, 1.0])
+        # each column in its own scale: u, u' and the affine column differ in units
+        for col in range(3):
+            np.testing.assert_allclose(step[:, col, 0], expected[:2, col], rtol=0,
+                                       atol=1e-14 * np.abs(expected[:2, col]).max())
+
+    @pytest.mark.parametrize("length", [1, 16, 17, 33, 4095, 4097])
+    def test_stacked_product_matches_sequential_floats(self, length):
+        # signed permutations with small integer translations multiply exactly in
+        # floats and do not commute, so any change of order shows as a difference;
+        # 17, 33, 4095 and 4097 set maps aside at odd lengths
+        rng = np.random.default_rng(length)
+        swap = rng.integers(0, 2, length).astype(bool)[:, None, None]
+        linear = (np.where(swap, [[0.0, 1.0], [1.0, 0.0]], np.eye(2))
+                  * rng.choice([-1.0, 1.0], (length, 2, 1)))
+        maps = np.concatenate([linear, rng.integers(-3, 4, (length, 2, 1))], axis=2)
+        total = np.array([[2.0, 1.0, -1.0], [0.0, 1.0, 3.0], [0.0, 0.0, 1.0]])
+        expected = total
+        for k in range(length):
+            expected = np.vstack([maps[k], [0.0, 0.0, 1.0]]) @ expected
+        product = _ordered_product(np.ascontiguousarray(maps.transpose(1, 2, 0)),
+                                   total[:2].ravel().tolist())
+        np.testing.assert_allclose(product, expected[:2].ravel(), rtol=1e-15, atol=0)
 
 
 class TestExactEnergy:

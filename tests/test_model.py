@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,33 @@ class TestProtocols:
         assert proto.position(T) == pytest.approx(d, rel=1e-12)
         assert proto.position(T / 2) == pytest.approx(d / 2, rel=1e-12)
         assert proto.acceleration(T / 2) == pytest.approx(0.0, abs=1e-9 * d / T**2)
+
+    def test_polynomial5_horner_forms(self, params):
+        # The evaluators are Horner forms in x = t/T - 1/2.  trap_path is
+        # position + acceleration/omega0^2 and not one fused quintic of Q(t):
+        # the fused quintic moved the corridor onset of criterion 6 to
+        # omega0*T = 2.7991 (required 2.505 +/- 0.005) and failed three
+        # corridor tests.
+        proto = Polynomial5(params)
+        d, T = params.distance, params.duration
+        assert [proto.position(0.0), proto.position(T)] == [0.0, d]
+        for f in (proto.velocity, proto.acceleration):
+            assert [f(0.0), f(T)] == [0.0, 0.0]
+        # Q(t) + Q(T - t) = d on the symmetric corridor grid; the power form
+        # 10 s^3 - 15 s^4 + 6 s^5 in s = t/T misses by up to 24 ulps of d
+        t = np.linspace(0.0, T, 2001)
+        symmetric = proto.trap_path(t) + proto.trap_path(t[::-1])
+        assert np.max(np.abs(symmetric - d)) <= 4 * np.spacing(d)
+        # the power form in exact rational arithmetic at the same float times,
+        # to 1e-15 of each evaluator's peak (the power form in floats: 6e-15)
+        exact_s = [Fraction(x) / Fraction(T) for x in t.tolist()]
+        for f, scale, coef in ((proto.position, d, (0, 0, 0, 10, -15, 6)),
+                               (proto.velocity, d / T, (0, 0, 30, -60, 30)),
+                               (proto.acceleration, d / T**2, (0, 60, -180, 120))):
+            exact = np.array([float(Fraction(scale) * sum(c * s**k for k, c in enumerate(coef)))
+                              for s in exact_s])
+            peak = np.max(np.abs(exact))
+            assert np.max(np.abs(f(t) - exact)) <= 1e-15 * peak
 
     def test_fourier_sine_evaluators_consistent(self, params):
         proto = FourierSineProtocol(params, [1e7, -3e6, 2e6, 5e5])
