@@ -16,7 +16,7 @@ from .analysis import (CommensurateClass, ConditionKind, PoleError,
 from .design import (AnsatzSystem, DesignConstraints, DesignError, design_aux,
                      design_fourier, mode_overlap_integral, target_integral)
 from .dynamics import (AuxiliarySolution, IntegrationError, exact_energy,
-                       exact_transport, excess_energy_exact, shifted_trap,
+                       exact_transport, shifted_trap,
                        solve_auxiliary, trap_from_classical)
 from .model import (EnergyQuanta, FourierSineProtocol, Perturbation,
                     PerturbationKind, PhysicalParams, Polynomial5,

@@ -298,10 +298,3 @@ def exact_transport(params: PhysicalParams, proto: Protocol, pert: Perturbation,
     total = exact_energy(sol, params, omega_T, Q_T, n)
     baseline = params.hbar * omega_T * (n + 0.5) / params.energy_quantum
     return EnergyQuanta(total.value - baseline, n), sol
-
-
-def excess_energy_exact(params: PhysicalParams, proto: Protocol,
-                        pert: Perturbation, n: int = 0,
-                        n_steps: int = DEFAULT_STEPS) -> EnergyQuanta:
-    """The excitation of `exact_transport`, without its endpoint solution."""
-    return exact_transport(params, proto, pert, n, n_steps)[0]

@@ -21,13 +21,11 @@ from .quadrature import (PANEL_ORDER, adaptive_quad, oscillation_panels,
 RTOL = 1e-10  # relative tolerance of every quadrature in this module
 # bound on lanes x nodes of the estimated finest grid of one block of lanes
 LANE_NODES = 1 << 15
-# rad of a lane's phase on one 16-node panel at which a doubling agrees to
-# RTOL: 14-18 rad measured on lanes of 0.5-800 MHz in a 4 MHz trap over 2 us
-PANEL_PHASE = 16.0
 # kernel rows of the first-order responses: name -> (kernel, its frequency in
 # units of omega0, weighted by the trap acceleration)
 _ROWS = {"qc1": (np.sin, 1.0, True), "qc1_dot": (np.cos, 1.0, True),
-         "rho1": (np.sin, 2.0, False), "rho1_dot": (np.cos, 2.0, False)}
+         "rho1": (np.sin, 2.0, False), "rho1_dot": (np.cos, 2.0, False),
+         "qp1": (np.sin, 1.0, False), "qp1_dot": (np.cos, 1.0, False)}
 
 
 def _as_function(f):
@@ -108,21 +106,6 @@ class SineLanes:
         return np.sin(out, out=out)
 
 
-def _first_panels(omegas, freq: float, t: float):
-    """First grid of lanes of frequencies `omegas` on kernels up to `freq`.
-
-    The coarsest 4*2^k panels that put at most PANEL_PHASE rad of the
-    lane's phase (|omega| + freq) t on one panel, of the shape of `omegas`.
-    Starts of this form are the smallest start of a block times a power of
-    two, as `adaptive_quad` needs them.
-    """
-    phase = (np.abs(omegas) + freq) * t
-    panels = np.full(np.shape(phase), 4)
-    while (short := panels * PANEL_PHASE < phase).any():
-        panels[short] *= 2
-    return panels[()]
-
-
 @dataclass(frozen=True)
 class ExcitationReport:
     """Static/dynamical split of the second-order excitation, quanta per amplitude^2."""
@@ -143,17 +126,20 @@ class FirstOrderSolution:
 
         rho1(t) = -w0 * int_0^t f(t') sin[2 w0 (t-t')] dt'
         qc1(t)  = (2/w0) * int_0^t f(t') q0''(t') sin[w0 (t-t')] dt'
+        qp1(t)  = d w0 * int_0^t h(t') sin[w0 (t-t')] dt'
 
-    (and the cosine kernels for the derivatives) by adaptive Gauss-Legendre
-    quadrature at 1e-10 relative tolerance.  When `f(t)` returns shape
-    (*lanes, *t.shape), every response has the lane shape.  A `SineLanes`
-    `f` lends the scratch of its axis; any other `f` gets a scratch of its own.
-    A `SineLanes` or sine-kind `f` starts each lane on the grid of its own
-    frequency (`_first_panels`); a plain callable starts every lane on the
-    grid of a perturbation at 2 w0.
+    (and the cosine kernels for the derivatives, six rows in all) by adaptive
+    Gauss-Legendre quadrature at 1e-10 relative tolerance.  `qp1` is the
+    trajectory's response to a trap-position error Q0 + amplitude*d*h(t); its
+    rows never read the protocol, which may then be None.  When `f(t)` returns
+    shape (*lanes, *t.shape), every response has the lane shape, so position
+    lanes work as frequency lanes do.  A `SineLanes` `f` lends the scratch of
+    its axis; any other `f` gets a scratch of its own.  A `SineLanes` or
+    sine-kind `f` starts each lane on the grid of its own frequency; a plain
+    callable starts every lane on the grid of a perturbation at 2 w0.
     """
 
-    def __init__(self, params: PhysicalParams, proto: Protocol, f):
+    def __init__(self, params: PhysicalParams, proto: Protocol | None, f):
         self.params = params
         self.proto = proto
         self._f, _ = _as_function(f)
@@ -163,19 +149,17 @@ class FirstOrderSolution:
     def responses(self, t: float, names: tuple) -> list:
         """The responses `names` at `t`, each of the lane shape.
 
-        `names` picks from "rho1", "rho1_dot", "qc1" and "qc1_dot" in any
-        order, which the list follows.  Their kernel rows integrate as one
-        stack f(t') x rows(t'), each lane starting on the grid of its own
-        phase against the stack's highest kernel frequency and each element
+        `names` picks from the rows of `_ROWS` in any order, which the list
+        follows.  Their kernel rows integrate as one stack f(t') x rows(t'),
+        each lane starting on the `oscillation_panels` grid of its own phase
+        against the stack's highest kernel frequency and each element
         converging on its own.  For a given `t` and protocol the rows depend
         on the grid only, so the scratch keeps them.
         """
         w0 = self.params.omega0
         freq = max(_ROWS[name][1] for name in names) * w0
-        if self._omegas is None:
-            panels = oscillation_panels((freq + 2.0 * w0) * t)
-        else:
-            panels = np.expand_dims(_first_panels(self._omegas, freq, t), -1)
+        omega = 2.0 * w0 if self._omegas is None else np.abs(self._omegas)
+        panels = np.expand_dims(oscillation_panels((omega + freq) * t), -1)
         scratch = self._scratch
 
         def rows(tp):
@@ -197,7 +181,9 @@ class FirstOrderSolution:
             return np.multiply(w, kernel_rows, out=out)
 
         values = np.real(adaptive_quad(integrand, 0.0, t, RTOL, panels))
-        scale = {"qc1": 2.0 / w0, "qc1_dot": 2.0, "rho1": -w0, "rho1_dot": -2.0 * w0**2}
+        d = self.params.distance
+        scale = {"qc1": 2.0 / w0, "qc1_dot": 2.0, "rho1": -w0, "rho1_dot": -2.0 * w0**2,
+                 "qp1": d * w0, "qp1_dot": d * w0**2}
         return [scale[name] * values[..., k] for k, name in enumerate(names)]
 
 
@@ -215,7 +201,7 @@ def second_order_energy_freq(params: PhysicalParams, proto: Protocol, f,
     w0, m = params.omega0, params.mass
     # a copy: lane values live in a buffer that the quadrature overwrites
     fT = np.array(sol._f(T), dtype=float)
-    q1, q1d, r1, r1d = sol.responses(T, tuple(_ROWS))
+    q1, q1d, r1, r1d = sol.responses(T, ("qc1", "qc1_dot", "rho1", "rho1_dot"))
     # squares go through C pow (np.float_power), which Python's float ** also
     # calls, so scan CSVs keep their bytes; numpy's ** multiplies instead and
     # rounds about one square in a thousand differently
@@ -241,7 +227,7 @@ def _estimated_panels(params: PhysicalParams, omegas):
     The lane's first grid against the stack's highest kernel frequency,
     2 w0, doubled once by the convergence check.
     """
-    return 2 * _first_panels(omegas, 2.0 * params.omega0, params.duration)
+    return 2 * oscillation_panels((np.abs(omegas) + 2.0 * params.omega0) * params.duration)
 
 
 def lane_blocks(params: PhysicalParams, omegas) -> list[slice]:
@@ -266,24 +252,19 @@ def second_order_energy_pos(params: PhysicalParams, h, n: int = 0) -> Excitation
     """Second-order excitation for a trap-position error Q = Q0 + amplitude*d*h(t).
 
     The width factor is untouched at first order, so the excitation is purely
-    static: it does not depend on the ideal trajectory at all.
+    static: it does not depend on the ideal trajectory at all.  The responses
+    are the `qp1` rows of `FirstOrderSolution`, so `h` takes the same forms as
+    the `f` of `second_order_energy_freq`: a `sine_lanes` axis gives report
+    fields of the lane shape, each lane computed as on its own.
     """
-    hf, _ = _as_function(h)
+    sol = FirstOrderSolution(params, None, h)
     T, w0, m, d = params.duration, params.omega0, params.mass, params.distance
-    panels = oscillation_panels(3.0 * w0 * T)
-
-    def kern_sin(tp):
-        return hf(tp) * np.sin(w0 * (T - tp))
-
-    def kern_cos(tp):
-        return hf(tp) * np.cos(w0 * (T - tp))
-
-    q1 = d * w0 * float(np.real(adaptive_quad(kern_sin, 0.0, T, RTOL, panels)))
-    q1d = d * w0**2 * float(np.real(adaptive_quad(kern_cos, 0.0, T, RTOL, panels)))
-    hT = float(np.asarray(hf(T), dtype=float))
-    stat = 0.5 * m * w0**2 * ((q1 - d * hT)**2 + (q1d / w0)**2)
+    # a copy: lane values live in a buffer that the quadrature overwrites
+    hT = np.array(sol._f(T), dtype=float)
+    q1, q1d = sol.responses(T, ("qp1", "qp1_dot"))
+    stat = 0.5 * m * w0**2 * (np.float_power(q1 - d * hT, 2) + np.float_power(q1d / w0, 2))
     eq = params.energy_quantum
-    return ExcitationReport(stat / eq, 0.0, level=n)
+    return ExcitationReport(stat / eq, np.zeros_like(stat)[()], level=n)
 
 
 def accel_ft(proto: Protocol, nu: float, rtol: float = RTOL) -> complex:

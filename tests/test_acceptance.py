@@ -15,7 +15,7 @@ from stashuttle import (DesignConstraints, GaConfig, Perturbation,
                         PhysicalParams, Polynomial5, avg_dynamical_potential,
                         corridor_check, corridor_cost, crossing_time,
                         design_aux, design_fourier, envelope_dynamical,
-                        envelope_static, eta_ratio, excess_energy_exact,
+                        envelope_static, eta_ratio, exact_transport,
                         fourier_projection, ga_minimize, oct_solve,
                         second_order_energy_freq, static_closed_form,
                         target_integral, trap_from_classical)
@@ -111,8 +111,8 @@ def test_criterion_03_exact_vs_perturbative():
             pert_values.append(lam**2 * second)
             cycles = T * max(2 * params.omega0, omega) / (2 * np.pi)
             n_steps = max(4000, int(400 * cycles))
-            exact_values.append(excess_energy_exact(params, proto, pert,
-                                                    n_steps=n_steps).value)
+            exact_values.append(exact_transport(params, proto, pert,
+                                                n_steps=n_steps)[0].value)
         pert_values = np.asarray(pert_values)
         exact_values = np.asarray(exact_values)
         # the scan crosses exact-vanishing points where a pointwise relative

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -202,6 +203,17 @@ class TestScan:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["kind"] == "numerical"
 
+    def test_unresolvable_lane_exits_3_before_building_its_grid(self, tmp_path, capsys):
+        # a lane at 1e300 rad/s needs more panels than any grid: its first
+        # grid is refused before it is built
+        config = base_config(scan={"variable": "omega", "points": 3, "spacing": "log",
+                                   "min": {"value": 1.0, "unit": "two_pi_mhz"},
+                                   "max": {"value": 1e300, "unit": "rad_per_s"}})
+        code, out, captured = run(tmp_path, capsys, "scan", config)
+        assert code == 3 and not out.exists()
+        (line,) = captured.err.splitlines()
+        assert "first grid" in json.loads(line)["error"]["message"]
+
     def test_missing_unit_is_config_error(self, tmp_path, capsys):
         config = base_config(scan={"variable": "omega", "points": 1,
                                    "min": {"value": 5.0},
@@ -355,6 +367,21 @@ class TestDesign:
             {"value": v, "unit": "two_pi_mhz"} for v in targets]})
         code, _, captured = run(tmp_path, capsys, "design", config)
         assert code == 0 and captured.err == ""
+
+    @pytest.mark.parametrize("method, message", [
+        ("aux", "repeated target frequencies make the design degenerate"),
+        ("fourier", r"constraint system ill-conditioned \(condition number \S+ > 1e\+12\); "
+                    r"rank 4 of 6 rows")])
+    def test_repeated_target_exits_4(self, tmp_path, capsys, method, message):
+        # no design exists: one JSON line of kind "design" and no CSV
+        config = base_config(design={"method": method, "targets": [
+            {"value": 5.0, "unit": "two_pi_mhz"}] * 2})
+        code, out, captured = run(tmp_path, capsys, "design", config)
+        assert code == 4 and not out.exists()
+        (line,) = captured.err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["code"] == 4 and error["kind"] == "design"
+        assert re.fullmatch(message, error["message"])
 
     def test_underdetermined_request(self, tmp_path, capsys):
         config = base_config(design={"method": "fourier",
@@ -592,3 +619,11 @@ def test_config_mutation_exits_cleanly(tmp_path_factory, site, value):
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["code"] == code
         assert not out.exists()
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's python block runs as printed, so its names stay exported
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    exec(compile(block, str(readme), "exec"), {})
+    assert "(50,)" in capsys.readouterr().out

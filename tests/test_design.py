@@ -5,7 +5,7 @@ from numpy.polynomial import Polynomial
 
 from stashuttle import (DesignConstraints, DesignError, FourierSineProtocol,
                         Perturbation, PhysicalParams, Polynomial5, PolynomialTrajectory,
-                        design_aux, design_fourier, excess_energy_exact,
+                        design_aux, design_fourier, exact_transport,
                         mode_overlap_integral, static_closed_form,
                         target_integral)
 from stashuttle.design import _mode_overlap_quad, assemble_system
@@ -308,6 +308,6 @@ class TestDesignedRoundTrip:
         proto, _ = design_fourier(params, DesignConstraints(targets=(omega,)))
         lam = 1e-3
         pert = Perturbation.frequency_sine(omega, lam)
-        exact = excess_energy_exact(params, proto, pert, n_steps=20000).value
+        exact = exact_transport(params, proto, pert, n_steps=20000)[0].value
         static = static_closed_form(params, omega)
         assert exact <= lam**2 * static + 1e-10

@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
@@ -8,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from stashuttle import (AuxiliarySolution, IntegrationError, Perturbation,
                         PhysicalParams, Polynomial5, dynamics,
-                        exact_energy, excess_energy_exact, shifted_trap,
+                        exact_energy, exact_transport, shifted_trap,
                         solve_auxiliary, trap_from_classical)
-from stashuttle.cli import main
+from stashuttle.cli import _scan_inputs, main
 from stashuttle.dynamics import (_magnus_steps, _monodromy, _ordered_product,
                                  perturbed_frequency)
-from stashuttle.perturbation import second_order_energy_freq
+from stashuttle.perturbation import second_order_energy_freq, second_order_energy_pos
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples_config"
 
@@ -400,13 +401,13 @@ class TestExactEnergy:
 class TestExcessEnergy:
     def test_zero_amplitude(self, params):
         pert = Perturbation.frequency_sine(2 * np.pi * 6e6, 0.0)
-        de = excess_energy_exact(params, Polynomial5(params), pert, n_steps=5000)
+        de = exact_transport(params, Polynomial5(params), pert, n_steps=5000)[0]
         assert abs(de.value) < 1e-10
 
     def test_matches_second_order_theory(self, params):
         pert = Perturbation.frequency_sine(2 * np.pi * 6e6, 1e-3)
         proto = Polynomial5(params)
-        de = excess_energy_exact(params, proto, pert, n_steps=20000)
+        de = exact_transport(params, proto, pert, n_steps=20000)[0]
         report = second_order_energy_freq(params, proto, pert)
         expected = pert.amplitude**2 * report.total_quanta
         assert de.value == pytest.approx(expected, rel=0.05)
@@ -418,5 +419,19 @@ class TestExcessEnergy:
         params = PhysicalParams(mass=1.455e-25, omega0=2 * np.pi * 4e6,
                                 distance=50e-6, duration=1e-6)
         pert = Perturbation.position_sine(2 * np.pi * 3e6, 0.01)
-        de = excess_energy_exact(params, Polynomial5(params), pert, n_steps=20000)
+        de = exact_transport(params, Polynomial5(params), pert, n_steps=20000)[0]
         assert abs(de.value) < 1e-6
+
+    def test_position_form_is_the_exact_quadratic(self):
+        # the trajectory equation is linear in Q, so the exact excitation of a
+        # position error is exactly quadratic in its amplitude: over the
+        # verify axis it must meet the second-order form to the oracle's error
+        config = json.loads((EXAMPLES / "verify_omega.json").read_text())
+        params, *_, omegas = _scan_inputs(config)
+        exact, second = [], []
+        for omega in omegas:
+            pert = Perturbation.position_sine(omega, 1e-3)
+            exact.append(exact_transport(params, Polynomial5(params), pert)[0].value / 1e-6)
+            second.append(second_order_energy_pos(params, pert).static_quanta)
+        assert len(omegas) == 20
+        assert np.max(np.abs(np.subtract(exact, second))) <= 1e-9 * max(second)

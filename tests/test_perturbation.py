@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from stashuttle import (FirstOrderSolution, FourierSineProtocol, Perturbation,
                         PhysicalParams, Polynomial5, eval_perturbation,
-                        excess_energy_exact, static_closed_form)
+                        exact_transport, static_closed_form)
 from stashuttle import perturbation, quadrature
 from stashuttle.perturbation import (LANE_NODES, eta_ratio, fourier_dynamical,
                                      fourier_static_freq, fourier_static_pos,
                                      lane_blocks, second_order_energy_freq,
                                      second_order_energy_pos, sine_lanes)
-from stashuttle.quadrature import PANEL_ORDER
+from stashuttle.quadrature import PANEL_ORDER, oscillation_panels
 
 TWO_PI = 2 * np.pi
 
@@ -124,8 +124,7 @@ class TestLanes:
             widths = [b.stop - b.start for b in blocks]
             assert (widths[-1] == 1) == one_lane_blocks and max(widths) > 1
             # a block whose lanes start on different grids
-            starts = perturbation._first_panels(omegas, 2.0 * params.omega0,
-                                                params.duration)
+            starts = oscillation_panels((omegas + 2.0 * params.omega0) * params.duration)
             assert any(np.unique(starts[b]).size > 1 for b in blocks)
             static, dynamical = blocked_report(params, proto, sine_lanes(omegas), omegas,
                                                n=1)
@@ -137,10 +136,9 @@ class TestLanes:
         proto = Polynomial5(params)
         omegas = np.geomspace(0.05, 200.0, 24) * params.omega0
         static, dynamical = blocked_report(params, proto, sine_lanes(omegas), omegas)
-        first_panels = perturbation._first_panels
         monkeypatch.setattr(perturbation, "RTOL", 1e-13)
-        monkeypatch.setattr(perturbation, "_first_panels",
-                            lambda *args: max(2048, first_panels(*args)))
+        monkeypatch.setattr(perturbation, "oscillation_panels",
+                            lambda phase: max(2048, oscillation_panels(phase)))
         refs = [second_order_energy_freq(params, proto, Perturbation.frequency_sine(omega, 0.01))
                 for omega in omegas]
         for got, want in [(static, np.array([r.static_quanta for r in refs])),
@@ -256,7 +254,7 @@ class TestLanes:
             second_order_energy_freq(p, Polynomial5(p), lanes)
             factors = lanes.scratch._factors
             # the grids from the slower lane's start to the faster one's doubling
-            slow, fast = perturbation._first_panels(omegas, 2.0 * p.omega0, p.duration)
+            slow, fast = oscillation_panels((omegas + 2.0 * p.omega0) * p.duration)
             grids = [PANEL_ORDER * slow]
             while grids[-1] < 2 * PANEL_ORDER * fast:
                 grids.append(2 * grids[-1])
@@ -350,6 +348,15 @@ class TestSecondOrderPosition:
         pert = Perturbation.position_sine(TWO_PI * 3e6, 0.01)
         report = second_order_energy_pos(params, pert)
         assert report.dynamical_quanta == 0.0
+
+    def test_lanes_match_one_point_calls(self, params):
+        omegas = np.linspace(0.8, 15.2, 40) * TWO_PI * 1e6
+        report = second_order_energy_pos(params, sine_lanes(omegas))
+        assert report.static_quanta.shape == report.dynamical_quanta.shape == omegas.shape
+        assert not report.dynamical_quanta.any()
+        for k, omega in enumerate(omegas):
+            one = second_order_energy_pos(params, Perturbation.position_sine(omega, 0.01))
+            assert report.static_quanta[k] == one.static_quanta
 
 
 class TestFourierForms:
@@ -474,7 +481,7 @@ class TestPerturbativeConsistency:
             errors = []
             for lam in (1e-3, 3e-3, 1e-2):
                 pert = Perturbation.frequency_sine(omega, lam)
-                exact = excess_energy_exact(params, proto, pert, n_steps=20000).value
+                exact = exact_transport(params, proto, pert, n_steps=20000)[0].value
                 second = lam**2 * second_order_energy_freq(params, proto, pert).total_quanta
                 errors.append(abs(exact - second) / second)
             assert errors[0] < errors[1] < errors[2]

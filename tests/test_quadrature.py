@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from stashuttle.quadrature import (QuadratureError, adaptive_quad,
+from stashuttle.quadrature import (PANEL_PHASE, QuadratureError, adaptive_quad,
                                    oscillation_panels, phase_integral,
                                    sine_phase_integral)
+
+PHASES = st.floats(-1e12, 1e12)
 
 
 def test_polynomial_exact():
@@ -18,6 +22,29 @@ def test_oscillatory_matches_closed_form():
                         rtol=1e-12, initial_panels=oscillation_panels((omega + c) * T))
     want = sine_phase_integral(omega, 0.0, c, T)
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.one_of(PHASES, arrays(float, array_shapes(min_dims=0, max_dims=2), elements=PHASES)))
+@example(0.0)
+@example(-PANEL_PHASE * 4)
+@example(np.array([[0.0, -33.0], [64.0, 64.5]]))
+def test_oscillation_panels_is_the_coarsest_grid_of_its_phase(phase):
+    panels = oscillation_panels(phase)
+    assert np.shape(panels) == np.shape(phase)
+    quarter = np.asarray(panels) // 4
+    assert np.all(4 * quarter == panels) and np.all(quarter & (quarter - 1) == 0)
+    assert np.all(panels * PANEL_PHASE >= np.abs(phase))
+    # half the panels would carry more than PANEL_PHASE rad, unless at the floor
+    assert np.all((panels == 4) | (panels // 2 * PANEL_PHASE < np.abs(phase)))
+
+
+def test_oscillation_panels_stop_at_two_to_the_forty():
+    # a phase no quadrature can resolve gets the capped count, which
+    # adaptive_quad refuses before building the grid
+    assert oscillation_panels(1e300) == oscillation_panels(-np.inf) == 2**40
+    with pytest.raises(QuadratureError, match="first grid"):
+        adaptive_quad(np.sin, 0.0, 1.0, initial_panels=oscillation_panels(1e300))
 
 
 def test_phase_integral_small_argument_continuity():
