@@ -57,20 +57,24 @@ def corridor_cost(trap, params: PhysicalParams,
         raise ValueError(f"n_samples >= {CORRIDOR_MIN_SAMPLES} required")
     t = np.linspace(0.0, params.duration, n_samples)
     dt = np.diff(t)
+    # trapezoid weights: half of each neighbouring interval per sample
+    w = np.zeros(n_samples)
+    w[1:] += dt
+    w[:-1] += dt
+    w /= 2.0
     Q = np.asarray(trap(t), dtype=float)
     rows = Q.reshape(-1, n_samples)
     cost = np.empty(len(rows))
-    # |Q - clip(Q, 0, d)| is the excursion and the trapezoid rule follows
-    # np.trapezoid step by step, one row block of at most BLOCK_ELEMENTS
-    # samples at a time, so every temporary is reused from the heap
+    # |Q - clip(Q, 0, d)| is the excursion, weighted and summed one row block
+    # of at most BLOCK_ELEMENTS samples at a time, so every temporary is
+    # reused from the heap.  Multiply-then-sum rounds the same way for any
+    # block height, so a row costs the same alone as in a population
     for block in row_blocks(len(rows), n_samples):
         excess = np.clip(rows[block], 0.0, params.distance)
         np.subtract(rows[block], excess, out=excess)
         np.abs(excess, out=excess)
-        panels = excess[:, 1:] + excess[:, :-1]
-        panels *= dt
-        panels /= 2.0
-        cost[block] = panels.sum(axis=-1)
+        excess *= w
+        cost[block] = excess.sum(axis=-1)
     cost = cost.reshape(Q.shape[:-1])
     return float(cost) if cost.ndim == 0 else cost
 
@@ -182,14 +186,14 @@ def ga_minimize(params: PhysicalParams, system: AnsatzSystem, cost,
         winners = draws[np.arange(cfg.population), np.argmin(costs[draws], axis=1)]
         parents = pop[winners]
         children = parents.copy()
-        # blend crossover on consecutive pairs
-        for k in range(0, cfg.population - 1, 2):
-            if rng.random() < CROSSOVER_RATE:
-                lo, hi = -BLEND_ALPHA, 1.0 + BLEND_ALPHA
-                mix = rng.uniform(lo, hi, dim)
-                children[k] = mix * parents[k] + (1.0 - mix) * parents[k + 1]
-                mix = rng.uniform(lo, hi, dim)
-                children[k + 1] = mix * parents[k + 1] + (1.0 - mix) * parents[k]
+        # blend crossover on consecutive pairs, one set of draws for all
+        # pairs; with an odd population the last child stays its parent
+        pairs = cfg.population // 2
+        blend = (rng.random(pairs) < CROSSOVER_RATE)[:, None]
+        mix = rng.uniform(-BLEND_ALPHA, 1.0 + BLEND_ALPHA, (2, pairs, dim))
+        a, b = parents[0:2 * pairs:2], parents[1:2 * pairs:2]
+        children[0:2 * pairs:2] = np.where(blend, mix[0] * a + (1.0 - mix[0]) * b, a)
+        children[1:2 * pairs:2] = np.where(blend, mix[1] * b + (1.0 - mix[1]) * a, b)
         mutate = rng.random((cfg.population, dim)) < MUTATION_RATE
         children = np.where(mutate,
                             children + rng.normal(0.0, sigma_mut, (cfg.population, dim)),
@@ -470,9 +474,13 @@ def oct_solve(params: PhysicalParams, omega: float,
     scaled = scaled * col_scale[None, :]
     cond = np.linalg.cond(scaled)
     if not np.isfinite(cond) or cond > 1e12:
+        # when omega0*T and omega*T are both far below 1, the control mode
+        # sin(omega t) cos(omega0 t) is nearly omega*t, a multiple of mode t
         raise SingularSystemError(
             f"endpoint probe matrix is singular (equilibrated cond={cond:.3e}, "
-            f"det={np.linalg.det(endpoint):.3e}); resonant degeneracy")
+            f"det={np.linalg.det(endpoint):.3e}) at omega0*T={w0 * T:.3g} and "
+            f"omega*T={omega * T:.3g}; the control modes degenerate when both "
+            "are far below 1")
     constants = col_scale * np.linalg.solve(scaled, target * row_scale)
     residual = float(np.linalg.norm(endpoint @ constants - target))
 

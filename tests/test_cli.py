@@ -455,6 +455,18 @@ class TestOct:
         echoed = parse_echo(captured.out)
         assert float(echoed["fitted_slope"]) == pytest.approx(-4.0, abs=0.1)
 
+    def test_singular_extremal_exits_3(self, tmp_path, capsys):
+        # a 0.1 ns transport leaves omega0*T and omega*T near 3e-3, where the
+        # control modes degenerate: one JSON line of kind "numerical", no CSV
+        config = json.loads((EXAMPLES / "oct_extremal.json").read_text())
+        config["physical"]["duration"] = {"value": 1e-4, "unit": "us"}
+        code, out, captured = run(tmp_path, capsys, "oct", config)
+        assert code == 3 and not out.exists()
+        (line,) = captured.err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["code"] == 3 and error["kind"] == "numerical"
+        assert "omega0*T=0.00251 and omega*T=0.00314" in error["message"]
+
 
 SCAN_POINT = {"variable": "omega", "points": 1,
               "min": {"value": 5.0, "unit": "two_pi_mhz"},

@@ -435,3 +435,32 @@ class TestExcessEnergy:
             second.append(second_order_energy_pos(params, pert).static_quanta)
         assert len(omegas) == 20
         assert np.max(np.abs(np.subtract(exact, second))) <= 1e-9 * max(second)
+
+    def test_frequency_form_is_the_small_amplitude_limit(self):
+        # the exact excitation E(lam) of a frequency tone is smooth in lam; the
+        # symmetric average S(lam) = (E(lam) + E(-lam)) / (2 lam^2) drops every
+        # odd order, and (4 S(lam/2) - S(lam)) / 3 the lam^2 term, leaving the
+        # second-order coefficient.  A tone of amplitude -lam is the same tone
+        # with phase pi.  Steps per point as verify takes them
+        config = json.loads((EXAMPLES / "verify_omega.json").read_text())
+        params, *_, omegas = _scan_inputs(config)
+        proto = Polynomial5(params)
+
+        def symmetric(omega, lam, n_steps):
+            up = Perturbation.frequency_sine(omega, lam)
+            down = Perturbation.frequency_sum([(omega, np.pi, 1.0)], lam)
+            return sum(exact_transport(params, proto, pert, n_steps=n_steps)[0].value
+                       for pert in (up, down)) / (2.0 * lam**2)
+
+        worst = 0.0
+        for omega in omegas:
+            cycles = params.duration * max(2.0 * params.omega0, omega) / (2.0 * np.pi)
+            n_steps = max(4000, int(config["steps_per_cycle"] * cycles))
+            limit = (4.0 * symmetric(omega, 1e-3, n_steps)
+                     - symmetric(omega, 2e-3, n_steps)) / 3.0
+            # the report is per squared amplitude
+            second = second_order_energy_freq(
+                params, proto, Perturbation.frequency_sine(omega, 1e-3)).total_quanta
+            worst = max(worst, abs(limit - second) / second)
+        assert len(omegas) == 20
+        assert worst <= 2e-6

@@ -6,8 +6,10 @@ import pytest
 
 from stashuttle import (DesignConstraints, DesignError, FourierSineProtocol,
                         GaConfig, OctExtremalProtocol, Perturbation, Polynomial5,
-                        avg_dynamical_potential, corridor_cost, design_fourier, ga_minimize,
-                        nullspace_parametrize, oct_solve, trap_from_classical)
+                        SingularSystemError, avg_dynamical_potential, corridor_cost,
+                        design_fourier, ga_minimize, nullspace_parametrize, oct_solve,
+                        trap_from_classical)
+from stashuttle import optimize
 from stashuttle.design import assemble_system
 from stashuttle.optimize import (_control_basis, _control_gram, _driven_oscillators,
                                  _endpoint_map, _extremal_states, _gauss_panels, _grid_sums)
@@ -63,6 +65,19 @@ class TestCorridorCost:
         for k in range(64):
             row = trap_from_classical(FourierSineProtocol(params, coef[k]), params)
             assert costs[k] == corridor_cost(row, params, samples)
+
+    @pytest.mark.parametrize("samples", [1001, 2001, 20001])
+    def test_random_population_matches_trapezoid(self, params, samples):
+        # the weighted sum is the trapezoid rule of the excursion to rounding
+        coef = np.random.default_rng(samples + 1).normal(0.0, 1e8, (64, 8))
+        trap = trap_from_classical(FourierSineProtocol(params, coef), params)
+        t = np.linspace(0.0, params.duration, samples)
+        Q = trap(t)
+        want = np.trapezoid(np.abs(Q - np.clip(Q, 0.0, params.distance)), t)
+        costs = corridor_cost(trap, params, samples)
+        assert np.count_nonzero(want) > 32
+        for cost, expected in zip(costs, want):
+            assert cost == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_population_working_set(self, params):
         # a population's trap path is built and costed in row blocks, so
@@ -204,6 +219,54 @@ class TestGa:
 
         result = ga_minimize(p, system, cost, GaConfig(seed=9, generations=3))
         assert result.generations_used == 3
+
+    def test_odd_population_keeps_the_unpaired_child(self, params, monkeypatch):
+        # with every pair blended and nothing mutated, each child of the last
+        # (unpaired) slot is a copy of a candidate of the generation before,
+        # while blended children are new points
+        monkeypatch.setattr(optimize, "CROSSOVER_RATE", 1.0)
+        monkeypatch.setattr(optimize, "MUTATION_RATE", 0.0)
+        p, system = self.make_system(params)
+        t = np.linspace(0.0, p.duration, 1001)
+        generations = []
+
+        def cost(trap):
+            generations.append(trap(t))
+            return np.arange(len(generations[-1]), 0, -1.0)  # never zero
+
+        ga_minimize(p, system, cost, GaConfig(seed=5, population=11, generations=8))
+        assert len(generations) == 8
+        tol = 1e-12 * p.distance
+        blended = 0
+        for before, after in zip(generations, generations[1:]):
+            gaps = np.max(np.abs(after[:, None, :] - before[None, :, :]), axis=-1)
+            assert gaps[-1].min() <= tol
+            blended += np.count_nonzero(gaps[1:-1].min(axis=1) > 1e3 * tol)
+        assert blended > 0
+
+    def test_odd_population_is_bit_identical(self, params):
+        p, system = self.make_system(params)
+        cost = lambda trap: corridor_cost(trap, p)
+        cfg = GaConfig(seed=8, population=11, generations=40)
+        a = ga_minimize(p, system, cost, cfg)
+        b = ga_minimize(p, system, cost, cfg)
+        assert a.generations_used > 1   # crossover ran
+        assert np.array_equal(a.protocol.coefficients, b.protocol.coefficients)
+        assert a.best_cost == b.best_cost and a.history == b.history
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_short_transport_search_quality(self, params, seed):
+        # the benchmark's ga-search design: at T = 0.25 us with a first
+        # derivative cancelled no design stays inside the corridor, and every
+        # seed reaches the same best excursion, 1.0628e-13 m*s
+        p = dataclasses.replace(params, duration=0.25e-6)
+        system = assemble_system(p, DesignConstraints(
+            targets=(TWO_PI * 5e6,), omega_derivatives=1, n_terms=8))
+        result = ga_minimize(p, system, lambda trap: corridor_cost(trap, p, 2001),
+                             GaConfig(seed=seed, population=64, generations=100,
+                                      stagnation_limit=1000))
+        assert result.generations_used == 100 and not result.converged
+        assert result.best_cost == pytest.approx(1.0628e-13, rel=0.01, abs=0.0)
 
     def test_no_nullspace_is_an_error(self, params):
         system = assemble_system(params, DesignConstraints(targets=(TWO_PI * 5e6,)))
@@ -405,6 +468,14 @@ class TestOctSolve:
         nodes.clear()
         assert np.array_equal(sol.states(0.3 * params.duration), first)
         assert nodes == [8]
+
+    def test_short_transport_is_singular(self, params):
+        # omega0*T = 2.5e-3 and omega*T = 3.1e-3: sin(omega t) cos(omega0 t)
+        # is omega*t to 1e-5, so two of the four control modes coincide
+        p = dataclasses.replace(params, duration=1e-10)
+        with pytest.raises(SingularSystemError,
+                           match=r"omega0\*T=0\.00251 and omega\*T=0\.00314"):
+            oct_solve(p, TWO_PI * 5e6, n_steps=2000)
 
     def test_input_validation(self, params):
         with pytest.raises(ValueError):
